@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke bench-regress obs-smoke service-load accuracy cover profile
+.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke bench-regress obs-smoke service-load accuracy cover bench-refs profile
 
 # ci is the full gate: formatting, vet + lint, build, tests (with the race
 # detector, then again in shuffled order — the race pass includes the
@@ -8,9 +8,9 @@ GO ?= go
 # planner equivalence suite, a short fuzz of the band/extent overlap logic
 # and the service submit endpoint, a benchmark smoke run, the sweep and
 # campaign regression gates, the observability smoke test, the service
-# load-test regression gate, the ground-truth accuracy gate, and the
-# detection-core coverage floor.
-ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke bench-regress obs-smoke service-load accuracy cover
+# load-test regression gate, the ground-truth accuracy gate, the
+# detection-core coverage floor, and the benchmark's pinned outputs.
+ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke bench-regress obs-smoke service-load accuracy cover bench-refs
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -240,6 +240,22 @@ cover:
 		echo "cover: internal/core coverage below floor"; exit 1; \
 	fi
 
+# bench-refs rebuilds fase and the benchmark harness (fasebench/) into a
+# temp dir, re-records the outputs the benchmark pins — each survey
+# campaign's CLI output for the shipped seeds and the detection count of
+# every served pool entry — and requires them to match
+# fasebench/refs.json byte for byte, so a change to the render order or
+# the detection pipeline cannot silently invalidate the benchmark's
+# correctness checks. It reads fasebench/ and never writes under it.
+bench-refs:
+	@tmp=$$(mktemp -d); \
+	$(GO) build -o $$tmp/fase ./cmd/fase || { rm -rf $$tmp; exit 1; }; \
+	$(GO) -C fasebench build -o $$tmp/fasebench . || { rm -rf $$tmp; exit 1; }; \
+	$$tmp/fasebench -fase $$tmp/fase -out $$tmp -record-refs $$tmp/refs.json || { rm -rf $$tmp; exit 1; }; \
+	cmp $$tmp/refs.json fasebench/refs.json || { echo "bench-refs: recorded outputs differ from fasebench/refs.json"; rm -rf $$tmp; exit 1; }; \
+	rm -rf $$tmp; \
+	echo "bench-refs: ok"
+
 # obs-smoke runs a tiny instrumented campaign through the CLI with every
 # observability output enabled, then validates the run manifest and event
 # journal against their schemas, sanity-checks the trace and metrics
@@ -267,6 +283,7 @@ obs-smoke:
 	grep -q '"kind":"campaign_start"' $$tmp/events.jsonl || { echo "obs-smoke: journal missing campaign_start"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"kind":"sweep_end"' $$tmp/events.jsonl || { echo "obs-smoke: journal missing sweep events"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"build"' $$tmp/run.json || { echo "obs-smoke: manifest missing build info"; rm -rf $$tmp; exit 1; }; \
+	grep -q '"static_cache_bytes": [1-9]' $$tmp/run.json || { echo "obs-smoke: manifest missing static cache bytes"; rm -rf $$tmp; exit 1; }; \
 	$$tmp/fase -f1 250e3 -f2 550e3 -fres 200 -fdelta 1e3 -seed 2 \
 		-runs-dir $$tmp/runs >/dev/null || { rm -rf $$tmp; exit 1; }; \
 	$$tmp/fase runs -dir $$tmp/runs | grep -q '^@1' || { echo "obs-smoke: run store did not list two runs"; rm -rf $$tmp; exit 1; }; \
@@ -282,6 +299,7 @@ obs-smoke:
 	[ -n "$$addr" ] || { echo "obs-smoke: debug server never came up"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
 	curl -sf "http://$$addr/progress" | grep -q '"stage"' || { echo "obs-smoke: /progress malformed"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
 	curl -sf "http://$$addr/metrics?format=prom" | grep -q '^fase_core_campaigns_total' || { echo "obs-smoke: prometheus exposition malformed"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
+	curl -sf "http://$$addr/metrics?format=prom" | grep -q '^fase_render_static_cache_bytes' || { echo "obs-smoke: prometheus exposition missing static cache bytes"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
 	curl -sN --max-time 3 "http://$$addr/events" | grep -q 'campaign_start' || { echo "obs-smoke: /events SSE stream malformed"; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
 	$$tmp/fase serve -addr 127.0.0.1:0 -runs-dir $$tmp/srvruns > $$tmp/serve.log 2>&1 & spid=$$!; \

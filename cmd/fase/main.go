@@ -66,7 +66,6 @@ func run() int {
 	fdelta := flag.Float64("fdelta", 0.5e3, "alternation frequency step, Hz")
 	seed := flag.Int64("seed", 1, "random seed")
 	env := flag.Bool("environment", true, "include the metropolitan RF environment")
-	noReuse := flag.Bool("no-reuse", false, "disable the cross-sweep static render cache (bit-identical results, slower)")
 	noSegment := flag.Bool("no-segment", false, "disable run-length segmentation in load-following renderers (bit-identical results, slower)")
 	adaptive := flag.Bool("adaptive", false, "use the budgeted coarse-to-fine scan planner (requires -budget)")
 	budget := flag.Int("budget", 0, "capture budget for -adaptive (total analyzer captures the scan may spend)")
@@ -164,7 +163,6 @@ func run() int {
 		F1: *f1, F2: *f2, Fres: *fres,
 		FAlt1: *falt, FDelta: *fdelta,
 		X: x, Y: y, Seed: *seed,
-		NoReuse:   *noReuse,
 		NoSegment: *noSegment,
 	}
 	if *adaptive || *budget != 0 {

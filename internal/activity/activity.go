@@ -197,6 +197,25 @@ func (d Domain) Of(l Load) float64 {
 	}
 }
 
+// Only returns the load vector holding v in the domain's component and
+// zero in every other; d.Of(d.Only(v)) == v for every domain but
+// DomainNone, whose Only is the zero load.
+func (d Domain) Only(v float64) Load {
+	var l Load
+	switch d {
+	case DomainNone:
+	case DomainCore:
+		l.Core = v
+	case DomainMemCtl:
+		l.MemCtl = v
+	case DomainDRAM:
+		l.DRAM = v
+	default:
+		panic(fmt.Sprintf("activity: unknown domain %d", int(d)))
+	}
+	return l
+}
+
 // Segment is a constant-load interval of a trace.
 type Segment struct {
 	Start float64 // seconds

@@ -493,7 +493,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 
 	anCfg := func(fres float64, avg int, m *specan.Meter) specan.Config {
 		return specan.Config{Fres: fres, Averages: avg, Parallelism: c.Parallelism,
-			MaxFFT: c.MaxFFT, NoPlan: c.NoPlan, ReuseStatic: !c.NoReuse,
+			MaxFFT: c.MaxFFT, NoPlan: c.NoPlan, ReuseStatic: !c.noReuse,
 			NoSegment: c.NoSegment, Faults: c.Faults, Meter: m, Obs: run}
 	}
 	// Price the equivalent exhaustive campaign (same geometry, no meter)

@@ -71,12 +71,6 @@ type Campaign struct {
 	// analyzer (see specan.Config.NoPlan). Planned and unplanned rendering
 	// are bit-identical; this is a debugging escape hatch.
 	NoPlan bool
-	// NoReuse disables the static render cache (specan.Config.ReuseStatic):
-	// every capture then re-renders its activity-independent components
-	// instead of replaying them from the campaign-scoped cache. Cached and
-	// uncached rendering are bit-identical; like NoPlan, this is a
-	// debugging escape hatch, not a result-changing switch.
-	NoReuse bool
 	// NoSegment disables run-length segmentation in load-following
 	// renderers (specan.Config.NoSegment): captures then walk the activity
 	// trace sample by sample. Segmented and per-sample rendering are
@@ -108,6 +102,12 @@ type Campaign struct {
 	// bit-equality; the nil default leaves the exhaustive path — and its
 	// bit-identity contract — untouched.
 	Adaptive *AdaptivePlan
+
+	// noReuse disables the static render cache (specan.Config.ReuseStatic)
+	// so every capture renders live: the reference the package's cache
+	// equivalence tests compare against. Cached and uncached rendering are
+	// bit-identical.
+	noReuse bool
 }
 
 // MinScoreZero is the sentinel for Campaign.MinScore that requests a
@@ -446,7 +446,6 @@ type campaignConfig struct {
 	Seed        int64   `json:"seed"`
 	Parallelism int     `json:"parallelism"`
 	NoPlan      bool    `json:"no_plan"`
-	NoReuse     bool    `json:"no_reuse"`
 	NoSegment   bool    `json:"no_segment"`
 	// FaultsInjected flags runs whose measurement chain was degraded by a
 	// fault plan; their timings and detections are not comparable to
@@ -471,7 +470,7 @@ func manifestConfig(c Campaign) campaignConfig {
 		MinScore: c.MinScore, SmoothBins: c.SmoothBins,
 		MergeBins: c.MergeBins, MinElevated: c.MinElevated,
 		X: c.X.String(), Y: c.Y.String(),
-		Seed: c.Seed, Parallelism: c.Parallelism, NoPlan: c.NoPlan, NoReuse: c.NoReuse,
+		Seed: c.Seed, Parallelism: c.Parallelism, NoPlan: c.NoPlan,
 		NoSegment:      c.NoSegment,
 		FaultsInjected: c.Faults != nil,
 		MaxFFT:         c.MaxFFT,

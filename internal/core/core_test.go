@@ -459,6 +459,9 @@ func TestCampaignObservabilityEquivalence(t *testing.T) {
 	if m.Planner.ComponentsSkipped == 0 || m.Planner.RenderSkips == 0 {
 		t.Errorf("planner skips must be non-zero for the i7-desktop scene: %+v", m.Planner)
 	}
+	if p := m.Planner; p.StaticCacheMisses == 0 || p.StaticCacheBytes <= 0 || p.StaticCacheBytes%16 != 0 {
+		t.Errorf("static cache memory missing from the manifest: %d builds, %d bytes", p.StaticCacheMisses, p.StaticCacheBytes)
+	}
 	if m.Captures == 0 || m.RenderSeconds <= 0 {
 		t.Errorf("capture accounting empty: captures=%d render=%gs", m.Captures, m.RenderSeconds)
 	}

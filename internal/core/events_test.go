@@ -69,7 +69,7 @@ func TestEventJournalEquivalence(t *testing.T) {
 			for _, v := range variants {
 				c := plan.c
 				c.Parallelism = v.parallelism
-				c.NoReuse = v.noReuse
+				c.noReuse = v.noReuse
 				run := obs.NewRun()
 				run.Journal = obs.NewJournal()
 				if _, err := (&Runner{Scene: sys.Scene(21, true), Obs: run}).RunE(c); err != nil {

@@ -56,7 +56,7 @@ func (p *ShardPlan) AnalyzerConfig(run *obs.Run) specan.Config {
 	c := p.Campaign
 	return specan.Config{Fres: c.Fres, Averages: c.Averages, Parallelism: c.Parallelism,
 		MaxFFT: c.MaxFFT,
-		NoPlan: c.NoPlan, ReuseStatic: !c.NoReuse, NoSegment: c.NoSegment,
+		NoPlan: c.NoPlan, ReuseStatic: !c.noReuse, NoSegment: c.NoSegment,
 		Faults: c.Faults, Obs: run}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // TestCampaignEquivalenceStaticCache runs the same campaign with the
-// cross-sweep static render cache on (the default) and off (NoReuse) and
+// cross-sweep static render cache on (the default) and off, and
 // requires bit-identical measurements and detections. Because every sweep
 // of a campaign shares the campaign seed, the cached run builds each
 // capture's static layer once and replays it NumAlts times — the counter
@@ -34,27 +34,27 @@ func TestCampaignEquivalenceStaticCache(t *testing.T) {
 		t.Fatal("default campaign replayed no static layers — test is vacuous")
 	}
 	noReuse := c
-	noReuse.NoReuse = true
+	noReuse.noReuse = true
 	bare, err := (&Runner{Scene: sys.Scene(21, true)}).RunE(noReuse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cached.Measurements) != len(bare.Measurements) {
-		t.Fatalf("measurement count %d cached vs %d NoReuse", len(cached.Measurements), len(bare.Measurements))
+		t.Fatalf("measurement count %d cached vs %d uncached", len(cached.Measurements), len(bare.Measurements))
 	}
 	for i := range bare.Measurements {
 		a, b := bare.Measurements[i].Spectrum, cached.Measurements[i].Spectrum
 		if a.Bins() != b.Bins() {
-			t.Fatalf("measurement %d: %d bins cached vs %d NoReuse", i, b.Bins(), a.Bins())
+			t.Fatalf("measurement %d: %d bins cached vs %d uncached", i, b.Bins(), a.Bins())
 		}
 		for k := range a.PmW {
 			if math.Float64bits(a.PmW[k]) != math.Float64bits(b.PmW[k]) {
-				t.Fatalf("measurement %d bin %d differs between cached and NoReuse runs", i, k)
+				t.Fatalf("measurement %d bin %d differs between cached and uncached runs", i, k)
 			}
 		}
 	}
 	if len(cached.Detections) != len(bare.Detections) {
-		t.Fatalf("detections: %d cached vs %d NoReuse", len(cached.Detections), len(bare.Detections))
+		t.Fatalf("detections: %d cached vs %d uncached", len(cached.Detections), len(bare.Detections))
 	}
 	for i := range bare.Detections {
 		a, b := bare.Detections[i], cached.Detections[i]

@@ -165,15 +165,14 @@ type Capture struct {
 	// (their child-seed draw is still consumed, so output is bit-identical)
 	// and active components receive their prepared state via Context.Prep.
 	Plan *RenderPlan
-	// Static, when non-nil, is the cached activity-independent layer built
-	// by Scene.BuildStaticSet for this exact capture identity (band, n,
-	// start, seed, probe): components the set covers are replayed from
-	// their cached addend streams instead of re-rendered. Replay is
-	// bit-identical to live rendering (see StaticRenderer). A set that
-	// additionally caches conditionally static components (see
-	// CondStaticRenderer) is valid only for captures whose activity trace
-	// reproduces the window-constant loads it was built under; RenderInto
-	// verifies this against the capture's cond-static key.
+	// Static, when non-nil, is the cached static layer built by
+	// Scene.BuildStaticSet for this exact capture identity (band, n,
+	// start, seed, probe) and conditional-static key: RenderInto copies
+	// it into dst in place of rendering the layer's components. Every
+	// render, cached or not, accumulates the static layer first and the
+	// dynamic components after it, so replay is bit-identical to live
+	// rendering by construction (see StaticRenderer). RenderInto verifies
+	// the set's identity and key against the capture.
 	Static *StaticSet
 	// NoSegment is forwarded to Context.NoSegment: load-following
 	// renderers fall back to per-sample trace walks (bit-identical; a
@@ -181,8 +180,9 @@ type Capture struct {
 	NoSegment bool
 	// Obs, when non-nil, attributes this capture's live component renders
 	// by wall time and count (the per-component table of the run
-	// manifest, plus the fase_render_component_seconds histogram).
-	// Instrumentation never changes rendered output.
+	// manifest, plus the fase_render_component_seconds histogram), and
+	// BuildStaticSet adds the bytes of the set it builds to the run's
+	// static-cache total. Instrumentation never changes rendered output.
 	Obs *obs.Run
 }
 
@@ -193,6 +193,11 @@ type Capture struct {
 type renderScratch struct {
 	root, child *rand.Rand
 	ctx         Context
+	// seeds holds the capture's per-component child seeds, drawn up front
+	// so the static layer can render before the dynamic components.
+	seeds []int64
+	// layer marks the components a live render put in the static layer.
+	layer []bool
 	// cond is the capture's conditional-static key scratch (see
 	// AppendCondStaticKey), pooled so set verification stays allocation-free.
 	cond []byte
@@ -204,6 +209,62 @@ var scratchPool = sync.Pool{New: func() any {
 		child: rand.New(rand.NewSource(0)),
 	}
 }}
+
+// begin prepares the scratch for one capture of the scene: the context
+// from the capture, and every component's child seed, drawn from the
+// root stream in component order. The draw covers components the plan
+// skips or the static set replays too, so every component's stream — and
+// therefore the rendered output — is independent of both.
+func (sc *renderScratch) begin(s *Scene, c Capture) {
+	sc.ctx = Context{
+		Band:            c.Band,
+		Start:           c.Start,
+		N:               c.N,
+		Activity:        c.Activity,
+		NearField:       c.NearField,
+		NearFieldGainDB: c.NearFieldGainDB,
+		NoSegment:       c.NoSegment,
+	}
+	n := len(s.Components)
+	if cap(sc.seeds) < n {
+		sc.seeds, sc.layer = make([]int64, n), make([]bool, n)
+	}
+	sc.seeds, sc.layer = sc.seeds[:n], sc.layer[:n]
+	sc.root.Seed(c.Seed)
+	for i := range sc.seeds {
+		sc.seeds[i] = sc.root.Int63()
+		sc.layer[i] = false
+	}
+}
+
+// render adds component i's contribution to dst from its drawn child
+// seed (and its prepared state under plan), attributing the wall time to
+// run when it is non-nil. Seeding the child is deferred to here because
+// rand.Seed walks the generator's whole 607-word state, which costs more
+// than replaying a cached layer.
+func (sc *renderScratch) render(dst []complex128, s *Scene, plan *RenderPlan, i int, run *obs.Run) {
+	c := s.Components[i]
+	sc.child.Seed(sc.seeds[i])
+	sc.ctx.Rand = sc.child
+	if plan != nil {
+		sc.ctx.Prep = plan.prep[i]
+	}
+	if run != nil {
+		t0 := time.Now()
+		c.Render(dst, &sc.ctx)
+		run.AddComponentRender(c.Name(), time.Since(t0).Seconds())
+	} else {
+		c.Render(dst, &sc.ctx)
+	}
+	sc.ctx.Prep = nil
+}
+
+// end drops the capture's references and returns the scratch to the pool.
+func (sc *renderScratch) end() {
+	sc.ctx.Rand = nil
+	sc.ctx.Activity = nil
+	scratchPool.Put(sc)
+}
 
 // Render counters: captures rendered and components the active plan let a
 // capture skip — the planner's realized savings, per capture.
@@ -220,11 +281,15 @@ func (s *Scene) Render(cap Capture) []complex128 {
 }
 
 // RenderInto renders a capture into dst, which must have exactly cap.N
-// elements; dst is overwritten. It is the allocation-free form of Render
-// used by the sweep worker pool: all per-capture bookkeeping comes from a
-// pool, so only component-internal state allocates. Concurrent RenderInto
-// calls on one Scene are safe as long as every component's Render is
-// (all components in this repository are).
+// elements; dst is overwritten. The accumulation order is fixed: the
+// capture's static layer (see StaticRenderer) is summed into the zeroed
+// dst first, in component order — or copied from cap.Static — and every
+// other active component is then added in component order. It is the
+// allocation-free form of Render used by the sweep worker pool: all
+// per-capture bookkeeping comes from a pool, so only component-internal
+// state allocates. Concurrent RenderInto calls on one Scene are safe as
+// long as every component's Render is (all components in this repository
+// are).
 func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 	if cap.N <= 0 {
 		panic(fmt.Sprintf("emsim: capture length %d must be positive", cap.N))
@@ -235,80 +300,52 @@ func (s *Scene) RenderInto(dst []complex128, cap Capture) {
 	if len(dst) != cap.N {
 		panic(fmt.Sprintf("emsim: destination has %d samples for a %d-sample capture", len(dst), cap.N))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
 	sc := scratchPool.Get().(*renderScratch)
-	sc.root.Seed(cap.Seed)
-	sc.ctx = Context{
-		Band:            cap.Band,
-		Start:           cap.Start,
-		N:               cap.N,
-		Activity:        cap.Activity,
-		NearField:       cap.NearField,
-		NearFieldGainDB: cap.NearFieldGainDB,
-		NoSegment:       cap.NoSegment,
-	}
+	sc.begin(s, cap)
 	plan := cap.Plan
 	if plan != nil {
 		plan.check(cap, len(s.Components))
 		renderSkips.Add(int64(plan.ncomp - plan.nactive))
 	}
-	static := cap.Static
-	if static != nil {
-		static.check(cap, len(s.Components))
-		if static.cond != "" {
-			// The set bakes in conditionally static layers: the capture's
-			// activity trace must reproduce the same classification and
-			// window-constant loads the set was built under.
-			sc.cond = s.AppendCondStaticKey(sc.cond[:0], cap)
-			if string(sc.cond) != static.cond {
-				panic(fmt.Sprintf(
-					"emsim: static set built for cond-static key %x used with a capture keying %x",
-					static.cond, sc.cond))
-			}
-		}
-	}
 	capturesRendered.Inc()
 	run := cap.Obs
-	for i, c := range s.Components {
-		// Each component draws from its own child stream (same derivation
-		// as seeding a fresh generator with root.Int63()). The draw happens
-		// even for components the plan skips or the static set replays, so
-		// every component's stream — and therefore the rendered output —
-		// is independent of both. Actually seeding the child is deferred
-		// until a component renders: rand.Seed walks the generator's whole
-		// 607-word state, which costs more than replaying a cached layer.
-		seed := sc.root.Int63()
-		if plan != nil {
-			if !plan.active[i] {
-				continue
-			}
-			sc.ctx.Prep = plan.prep[i]
+	// The static layer first, then every other active component on top.
+	layer := sc.layer
+	if static := cap.Static; static != nil {
+		static.check(cap, len(s.Components))
+		// The set bakes in the capture's conditionally static layers: the
+		// capture's activity trace must reproduce the same classification
+		// and window-constant loads the set was built under.
+		sc.cond = s.AppendCondStaticKey(sc.cond[:0], cap)
+		if string(sc.cond) != static.cond {
+			panic(fmt.Sprintf(
+				"emsim: static set built for cond-static key %x used with a capture keying %x",
+				static.cond, sc.cond))
 		}
-		if static != nil && static.comps[i] != nil {
-			static.replay(dst, i)
-			staticReplays.Inc()
-			if run != nil {
-				run.AddComponentReplay(c.Name())
+		copy(dst, static.sum)
+		layer = static.in
+		staticReplays.Add(int64(static.cached))
+		if run != nil {
+			for i, in := range layer {
+				if in {
+					run.AddComponentReplay(s.Components[i].Name())
+				}
 			}
-			sc.ctx.Prep = nil
+		}
+	} else {
+		clear(dst)
+		s.staticLayer(cap, func(i int, _ activity.Domain, _ float64) {
+			layer[i] = true
+			sc.render(dst, s, plan, i, run)
+		})
+	}
+	for i := range s.Components {
+		if layer[i] || plan != nil && !plan.active[i] {
 			continue
 		}
-		sc.child.Seed(seed)
-		sc.ctx.Rand = sc.child
-		if run != nil {
-			t0 := time.Now()
-			c.Render(dst, &sc.ctx)
-			run.AddComponentRender(c.Name(), time.Since(t0).Seconds())
-		} else {
-			c.Render(dst, &sc.ctx)
-		}
-		sc.ctx.Prep = nil
+		sc.render(dst, s, plan, i, run)
 	}
-	sc.ctx.Rand = nil
-	sc.ctx.Activity = nil
-	scratchPool.Put(sc)
+	sc.end()
 }
 
 // GroundTruthCarrier is one expected detection for validation.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"fase/internal/activity"
 	"fase/internal/dsp/bufpool"
 	"fase/internal/dsp/fft"
 	"fase/internal/sig"
@@ -75,14 +76,11 @@ func (a *AMStation) Prepare(Band, int) any {
 	return &t
 }
 
-// StaticTerms implements StaticRenderer: broadcast program audio is not
+// StaticDomain implements StaticRenderer: broadcast program audio is not
 // program activity — the station renders identically for every
-// alternation scan, adding one carrier×envelope value per sample.
-func (a *AMStation) StaticTerms(band Band, _ int) (int, bool) {
-	if !band.Contains(a.Freq) {
-		return 0, true
-	}
-	return 1, true
+// alternation scan.
+func (a *AMStation) StaticDomain(band Band, _ int) (activity.Domain, bool) {
+	return activity.DomainNone, band.Contains(a.Freq)
 }
 
 // Render implements Component: carrier × (1 + depth·audio(t)), where the
@@ -183,14 +181,10 @@ func (s *FMStation) Prepare(Band, int) any {
 	return &t
 }
 
-// StaticTerms implements StaticRenderer: like the AM band, FM program
-// audio is independent of the micro-benchmark, and the station adds one
-// value per sample.
-func (s *FMStation) StaticTerms(band Band, _ int) (int, bool) {
-	if !band.Contains(s.Freq) {
-		return 0, true
-	}
-	return 1, true
+// StaticDomain implements StaticRenderer: like the AM band, FM program
+// audio is independent of the micro-benchmark.
+func (s *FMStation) StaticDomain(band Band, _ int) (activity.Domain, bool) {
+	return activity.DomainNone, band.Contains(s.Freq)
 }
 
 // Render implements Component. The audio tones are synthesized by phasor
@@ -300,10 +294,11 @@ func (b *Background) Prepare(band Band, n int) any {
 	return &bgPrep{sd: sd}
 }
 
-// StaticTerms implements StaticRenderer: the noise floor and its hills
-// are environmental — activity never shapes them — and the synthesized
-// noise is added to dst in a single pass.
-func (b *Background) StaticTerms(Band, int) (int, bool) { return 1, true }
+// StaticDomain implements StaticRenderer: the noise floor and its hills
+// are environmental — activity never shapes them.
+func (b *Background) StaticDomain(Band, int) (activity.Domain, bool) {
+	return activity.DomainNone, true
+}
 
 // Render implements Component.
 func (b *Background) Render(dst []complex128, ctx *Context) {

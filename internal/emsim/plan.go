@@ -3,6 +3,7 @@ package emsim
 import (
 	"fmt"
 
+	"fase/internal/activity"
 	"fase/internal/obs"
 )
 
@@ -95,18 +96,14 @@ type RenderPlan struct {
 	nactive int
 	active  []bool
 	prep    []any
-	// Activity classification (see StaticRenderer): staticTerms[i] is the
-	// per-sample addend count of component i when it is active and
-	// activity-independent for this geometry, 0 otherwise. BuildStaticSet
-	// consumes it so classification runs once per segment, not per capture.
-	staticTerms []int
-	nstatic     int
-	// Conditional classification (see CondStaticRenderer): condTerms[i] is
-	// the addend count of component i when it can be cached under a
-	// window-constant domain load, 0 otherwise. Disjoint from staticTerms —
-	// unconditional classification takes precedence.
-	condTerms []int
-	ncond     int
+	// Static classification (see StaticRenderer): static[i] reports that
+	// active component i classifies static for this geometry, dom[i] the
+	// domain it depends on (DomainNone when activity-independent). The
+	// static-layer walk consumes it so classification runs once per
+	// segment, not per capture.
+	static  []bool
+	dom     []activity.Domain
+	nstatic int
 }
 
 // Planner counters: how many plans were built and, across all of them,
@@ -126,13 +123,13 @@ var (
 // prepared state reproduces exactly what Render would compute inline.
 func (s *Scene) Plan(band Band, n int) *RenderPlan {
 	p := &RenderPlan{
-		band:        band,
-		n:           n,
-		ncomp:       len(s.Components),
-		active:      make([]bool, len(s.Components)),
-		prep:        make([]any, len(s.Components)),
-		staticTerms: make([]int, len(s.Components)),
-		condTerms:   make([]int, len(s.Components)),
+		band:   band,
+		n:      n,
+		ncomp:  len(s.Components),
+		active: make([]bool, len(s.Components)),
+		prep:   make([]any, len(s.Components)),
+		static: make([]bool, len(s.Components)),
+		dom:    make([]activity.Domain, len(s.Components)),
 	}
 	for i, c := range s.Components {
 		act := true
@@ -147,12 +144,9 @@ func (s *Scene) Plan(band Band, n int) *RenderPlan {
 		if pp, ok := c.(Prepper); ok {
 			p.prep[i] = pp.Prepare(band, n)
 		}
-		if terms, ok := classifyStatic(c, band, n); ok {
-			p.staticTerms[i] = terms
+		if d, ok := staticDomain(c, band, n); ok {
+			p.static[i], p.dom[i] = true, d
 			p.nstatic++
-		} else if terms, ok := classifyCondStatic(c, band, n); ok {
-			p.condTerms[i] = terms
-			p.ncond++
 		}
 	}
 	plansBuilt.Inc()
@@ -168,13 +162,9 @@ func (p *RenderPlan) Active(i int) bool { return p.active[i] }
 func (p *RenderPlan) ActiveCount() int { return p.nactive }
 
 // StaticCount returns how many active components the plan classified as
-// activity-independent (cacheable in a StaticSet) for this geometry.
+// static, unconditionally or conditionally, for this geometry: the upper
+// bound on a capture's static layer.
 func (p *RenderPlan) StaticCount() int { return p.nstatic }
-
-// CondStaticCount returns how many active components the plan classified
-// as conditionally static (cacheable when their window load is constant)
-// for this geometry.
-func (p *RenderPlan) CondStaticCount() int { return p.ncond }
 
 // check panics if the plan was computed for a different capture geometry
 // or component list than the one being rendered.

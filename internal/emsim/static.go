@@ -4,85 +4,45 @@ import (
 	"fmt"
 	"math"
 
+	"fase/internal/activity"
 	"fase/internal/obs"
 )
 
-// StaticRenderer is the activity-classification capability: a component
-// that can report, for a given capture geometry, that its rendered
-// contribution does not depend on the program-activity trace. Such a
-// component's output is a pure function of (band, n, start, seed, probe),
+// StaticRenderer is the static-layer capability: a component that can
+// report, for a given capture geometry, that its rendered contribution
+// depends on the program-activity trace at most through one power
+// domain's load. Such a component belongs to a capture's static layer —
+// unconditionally, or whenever its domain's load is constant across the
+// capture window — and the layer is a pure function of the capture
+// identity (band, n, start, seed, probe) plus those window-constant loads,
 // so one rendering can be cached and replayed across every alternation
-// scan of a campaign — the scans share capture seeds and differ only in
+// scan of a campaign: the scans share capture seeds and differ only in
 // activity.
 //
-// The contract is exact, not approximate: replay must reproduce the
-// unplanned render bit for bit. Because float addition is not
-// associative, the classification must also describe *how* the component
-// touches dst — the term count below is the number of += operations the
-// component applies to each sample, and replay re-applies the cached
-// addend streams in the same order, preserving the accumulation chain
-// (((dst+t₀)+t₁)+…) exactly.
+// The contract is exact, not approximate. RenderInto accumulates the
+// static layer into the zeroed capture first, in component order, and
+// adds the dynamic components after it; BuildStaticSet renders the same
+// layer in the same order into a zeroed buffer. Replay is therefore a
+// plain copy of the summed layer, bit-identical to the live render by
+// construction — provided every classification below is true.
 type StaticRenderer interface {
 	Component
-	// StaticTerms returns (terms, true) when the component's contribution
-	// to captures of n samples in band is independent of the activity
-	// trace, where terms is the number of += operations Render applies to
-	// each sample of dst (its in-band line count for comb renderers, 1 for
-	// single-carrier and noise sources). (0, true) means the component is
-	// activity-independent but contributes nothing in this band. Any
-	// activity dependence must return ok == false.
-	StaticTerms(band Band, n int) (terms int, ok bool)
+	// StaticDomain returns (activity.DomainNone, true) when the
+	// component's contribution to captures of n samples in band is
+	// independent of the activity trace, and (d, true) when it depends on
+	// the trace only through domain d's load: for any trace whose d-load
+	// equals the same constant at every sample of the capture, Render
+	// must produce the same output, drawing from ctx.Rand identically.
+	// Any other activity dependence must return ok == false.
+	StaticDomain(band Band, n int) (d activity.Domain, ok bool)
 }
 
-// StaticTermRenderer must additionally be implemented by StaticRenderers
-// that apply more than one += per sample (multi-line comb renderers):
-// replaying their summed contribution as a single addition would
-// reassociate the accumulation, so the build captures each addend stream
-// separately instead.
-type StaticTermRenderer interface {
-	StaticRenderer
-	// RenderStaticTerms writes the component's addend streams: terms[t][i]
-	// must be exactly the t-th value Render would have added to sample i
-	// (terms has the length StaticTerms reported). It must draw from
-	// ctx.Rand precisely as Render does.
-	RenderStaticTerms(terms [][]complex128, ctx *Context)
-}
-
-// CondStaticRenderer is the conditional-static capability: a component
-// whose render depends on the activity trace only through the trace's
-// projection onto the component's power domain. When that projection is a
-// single constant across the capture window, the contribution is a pure
-// function of (capture identity, load) — a regulator under an idle or
-// domain-constant workload, a partially-idle comb whose envelope freezes —
-// and can be cached and replayed through the same term-major static
-// machinery as unconditionally static components, keyed additionally by
-// the window-constant load (see Scene.AppendCondStaticKey).
-//
-// The contract is exact, like StaticRenderer's: for any activity trace
-// whose Domain() projection equals load at every sample of the capture,
-// RenderCondStaticTerms must write precisely the addend streams Render
-// would have applied to dst under that trace, drawing from ctx.Rand
-// exactly as Render does. Deliberately a separate interface from
-// StaticRenderer: these components are NOT activity-independent, so they
-// must not classify through StaticTerms.
-type CondStaticRenderer interface {
-	Emitter
-	// CondStaticTerms returns the number of += operations Render applies
-	// per sample in the band (the in-band line count), and whether the
-	// component supports conditional-static replay for this geometry.
-	CondStaticTerms(band Band, n int) (terms int, ok bool)
-	// RenderCondStaticTerms writes the component's addend streams for the
-	// window-constant projected load: terms[t][i] must be exactly the t-th
-	// value Render would have added to sample i (terms has the length
-	// CondStaticTerms reported).
-	RenderCondStaticTerms(terms [][]complex128, load float64, ctx *Context)
-}
-
-// StaticSet is the cached activity-independent layer of one capture: the
-// addend streams of every static-classified component, keyed by the full
-// capture identity (geometry, start time, seed, probe placement). It is
-// immutable after BuildStaticSet returns and safe to share between
-// concurrent RenderInto calls.
+// StaticSet is the cached static layer of one capture: the summed
+// contribution of every static-layer component, keyed by the full capture
+// identity (geometry, start time, seed, probe placement) and, when the
+// layer includes conditionally static components, by their window-constant
+// loads. It is immutable after BuildStaticSet returns and safe to share
+// between concurrent RenderInto calls.
 type StaticSet struct {
 	band            Band
 	start           float64
@@ -90,79 +50,49 @@ type StaticSet struct {
 	seed            int64
 	nearField       bool
 	nearFieldGainDB float64
-	ncomp           int
-	// comps[i] holds component i's addend streams; nil means the component
-	// is rendered live (dynamic, inactive, or contributing zero terms).
-	comps  [][][]complex128
+	// sum is the rendered static layer, one n-sample stream.
+	sum []complex128
+	// in[i] reports whether component i is part of the layer (and so is
+	// skipped by the dynamic pass of RenderInto).
+	in     []bool
 	cached int
-	// cond is the conditional-static key the set was built under (empty
-	// when no conditionally static component is cached): the (component
-	// index, load bits) pairs of every CondStaticRenderer whose domain
-	// projection was window-constant. RenderInto verifies a capture's key
-	// against it before replaying.
+	// cond is the conditional-static key the set was built under (see
+	// AppendCondStaticKey); RenderInto verifies a capture's key against
+	// it before replaying.
 	cond string
 }
 
-// Static-layer counters: components captured into static sets and
-// component renders replaced by replays. The cache-level hit/miss pair
-// lives with the cache owner in package specan.
+// Static-layer counters: components captured into static sets, component
+// renders replaced by replays, and the bytes the built sets hold. The
+// cache-level hit/miss pair lives with the cache owner in package specan.
 var (
 	staticComponents = obs.Default.Counter(obs.MetricStaticComponents)
 	staticReplays    = obs.Default.Counter(obs.MetricStaticReplays)
+	staticBytes      = obs.Default.Counter(obs.MetricStaticCacheBytes)
 )
 
 // Components reports how many components the set caches.
 func (st *StaticSet) Components() int { return st.cached }
 
-// classifyStatic resolves a component's static classification for one
-// geometry: its declared addend count, gated on the replay machinery
-// actually being able to reproduce it (multi-addend components must
-// implement StaticTermRenderer).
-func classifyStatic(c Component, band Band, n int) (int, bool) {
+// staticDomain resolves a component's static classification for one
+// geometry (see StaticRenderer).
+func staticDomain(c Component, band Band, n int) (activity.Domain, bool) {
 	sr, ok := c.(StaticRenderer)
 	if !ok {
-		return 0, false
+		return activity.DomainNone, false
 	}
-	terms, static := sr.StaticTerms(band, n)
-	if !static || terms <= 0 {
-		return 0, false
-	}
-	if terms > 1 {
-		if _, ok := c.(StaticTermRenderer); !ok {
-			return 0, false
-		}
-	}
-	return terms, true
+	return sr.StaticDomain(band, n)
 }
 
-// classifyCondStatic resolves a component's conditional-static
-// classification for one geometry: its declared addend count when the
-// component can be replayed under a window-constant domain load.
-// Unconditional static classification takes precedence — a component that
-// classifies through StaticTerms never classifies here, so the two cached
-// layers are disjoint.
-func classifyCondStatic(c Component, band Band, n int) (int, bool) {
-	if _, ok := classifyStatic(c, band, n); ok {
-		return 0, false
-	}
-	cr, ok := c.(CondStaticRenderer)
-	if !ok {
-		return 0, false
-	}
-	terms, cond := cr.CondStaticTerms(band, n)
-	if !cond || terms <= 0 {
-		return 0, false
-	}
-	return terms, true
-}
-
-// forEachCondStatic walks the components that are conditionally static AND
-// whose domain projection of the capture's activity trace is constant
-// across the capture window, yielding each one's index, addend count, and
-// window-constant load. Both the cache key (AppendCondStaticKey) and the
-// set build (BuildStaticSet) go through this walk, so they agree on which
-// components a set caches by construction.
-func (s *Scene) forEachCondStatic(cap Capture, fn func(i, terms int, load float64)) {
+// staticLayer walks the capture's static layer in component order: every
+// component active under cap.Plan (every component, without a plan) that
+// classifies static for the geometry — unconditionally, or conditionally
+// when its domain's load is constant across the capture window — yielding
+// the component's index, domain, and window-constant load (0 for
+// DomainNone). RenderInto, BuildStaticSet and AppendCondStaticKey all go
+// through this walk, so the live render, the cached set, and its cache key
+// agree on the layer by construction.
+func (s *Scene) staticLayer(cap Capture, fn func(i int, d activity.Domain, load float64)) {
 	plan := cap.Plan
 	tr := cap.Activity
 	if tr == nil {
@@ -171,57 +101,64 @@ func (s *Scene) forEachCondStatic(cap Capture, fn func(i, terms int, load float6
 	dt := 1 / cap.Band.SampleRate
 	t1 := cap.Start + float64(cap.N-1)*dt
 	for i, c := range s.Components {
-		var terms int
+		var d activity.Domain
 		if plan != nil {
-			if !plan.active[i] {
+			if !plan.static[i] {
 				continue
 			}
-			terms = plan.condTerms[i]
-		} else if t, ok := classifyCondStatic(c, cap.Band, cap.N); ok {
-			terms = t
+			d = plan.dom[i]
+		} else {
+			var ok bool
+			if d, ok = staticDomain(c, cap.Band, cap.N); !ok {
+				continue
+			}
 		}
-		if terms == 0 {
-			continue
+		var load float64
+		if d != activity.DomainNone {
+			var constant bool
+			if load, constant = tr.DomainConstant(d, cap.Start, t1); !constant {
+				continue
+			}
 		}
-		load, constant := tr.DomainConstant(c.(CondStaticRenderer).Domain(), cap.Start, t1)
-		if !constant {
-			continue
-		}
-		fn(i, terms, load)
+		fn(i, d, load)
 	}
+}
+
+// appendCondKey appends one conditional-static key entry: the component
+// index (2 bytes big-endian) followed by the load's IEEE-754 bits.
+func appendCondKey(dst []byte, i int, load float64) []byte {
+	b := math.Float64bits(load)
+	return append(dst,
+		byte(i>>8), byte(i),
+		byte(b>>56), byte(b>>48), byte(b>>40), byte(b>>32),
+		byte(b>>24), byte(b>>16), byte(b>>8), byte(b))
 }
 
 // AppendCondStaticKey appends the capture's conditional-static key to dst
 // and returns the extended slice: for every conditionally static component
 // whose domain load is constant across the capture window, the component
 // index (2 bytes big-endian) followed by the load's IEEE-754 bits (8
-// bytes). Two captures with equal static identity and equal keys replay
-// the same cached layers bit for bit; the empty key means no component
-// qualifies under this activity trace. Allocation-free when dst has
-// capacity.
+// bytes). Two captures with equal static identity and equal keys share
+// one static layer bit for bit; the empty key means no conditionally
+// static component joins the layer under this activity trace.
+// Allocation-free when dst has capacity.
 func (s *Scene) AppendCondStaticKey(dst []byte, cap Capture) []byte {
-	s.forEachCondStatic(cap, func(i, terms int, load float64) {
-		b := math.Float64bits(load)
-		dst = append(dst,
-			byte(i>>8), byte(i),
-			byte(b>>56), byte(b>>48), byte(b>>40), byte(b>>32),
-			byte(b>>24), byte(b>>16), byte(b>>8), byte(b))
+	s.staticLayer(cap, func(i int, d activity.Domain, load float64) {
+		if d != activity.DomainNone {
+			dst = appendCondKey(dst, i, load)
+		}
 	})
 	return dst
 }
 
-// BuildStaticSet renders the activity-independent layer of the capture:
-// every component the capture's plan (or, without a plan, a direct extent
-// test) leaves active and that classifies itself static has its addend
-// streams rendered standalone, consuming exactly the child-seed draws
-// RenderInto would. cap.Activity never feeds the unconditional renders —
-// they run against a nil trace, so a misclassified component diverges from
-// the live render immediately rather than matching one scan's activity by
-// accident. The trace is consulted only to classify conditionally static
-// components (see CondStaticRenderer): those whose domain load is constant
-// across the window render their addend streams for that load, and the set
-// records the resulting cond-static key. Returns nil when no component
-// qualifies.
+// BuildStaticSet renders the capture's static layer (see staticLayer) into
+// one zeroed n-sample stream, in component order and from the same child
+// seeds RenderInto draws. The trace never feeds the renders directly:
+// activity-independent components run against a nil trace and
+// conditionally static ones against a constant trace holding only their
+// own domain's window load, so a misclassified component diverges from the
+// live render immediately rather than matching one scan's activity by
+// accident. Returns nil when no component qualifies.
 func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 	if cap.N <= 0 || cap.Band.SampleRate <= 0 {
 		panic(fmt.Sprintf("emsim: invalid static-set capture geometry %+v", cap.Band))
@@ -230,39 +167,6 @@ func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 	if plan != nil {
 		plan.check(cap, len(s.Components))
 	}
-	// First pass, geometry only: classify and size the arena so every
-	// addend stream comes out of one allocation. A plan carries the
-	// classification precomputed per segment. Conditional classification
-	// additionally consults the activity trace for window constancy; the
-	// two layers are disjoint (see classifyCondStatic).
-	layout := make([]int, len(s.Components))
-	condLayout := make([]int, len(s.Components))
-	condLoad := make([]float64, len(s.Components))
-	total, cached, condCached := 0, 0, 0
-	for i, c := range s.Components {
-		var terms int
-		if plan != nil {
-			terms = plan.staticTerms[i]
-		} else if t, ok := classifyStatic(c, cap.Band, cap.N); ok {
-			terms = t
-		}
-		if terms == 0 {
-			continue
-		}
-		layout[i] = terms
-		total += terms
-		cached++
-	}
-	s.forEachCondStatic(cap, func(i, terms int, load float64) {
-		condLayout[i] = terms
-		condLoad[i] = load
-		total += terms
-		cached++
-		condCached++
-	})
-	if cached == 0 {
-		return nil
-	}
 	st := &StaticSet{
 		band:            cap.Band,
 		start:           cap.Start,
@@ -270,94 +174,36 @@ func (s *Scene) BuildStaticSet(cap Capture) *StaticSet {
 		seed:            cap.Seed,
 		nearField:       cap.NearField,
 		nearFieldGainDB: cap.NearFieldGainDB,
-		ncomp:           len(s.Components),
-		comps:           make([][][]complex128, len(s.Components)),
+		in:              make([]bool, len(s.Components)),
 	}
-	if condCached > 0 {
-		st.cond = string(s.AppendCondStaticKey(nil, cap))
-	}
-	arena := make([]complex128, total*cap.N)
-	// Second pass: the same root-stream walk as RenderInto, rendering the
-	// classified components' addend streams.
 	sc := scratchPool.Get().(*renderScratch)
-	sc.root.Seed(cap.Seed)
-	sc.ctx = Context{
-		Band:            cap.Band,
-		Start:           cap.Start,
-		N:               cap.N,
-		NearField:       cap.NearField,
-		NearFieldGainDB: cap.NearFieldGainDB,
+	sc.begin(s, cap)
+	var key []byte
+	s.staticLayer(cap, func(i int, d activity.Domain, load float64) {
+		if st.sum == nil {
+			st.sum = make([]complex128, cap.N)
+		}
+		sc.ctx.Activity = nil
+		if d != activity.DomainNone {
+			sc.ctx.Activity = activity.NewConstant(d.Only(load))
+			key = appendCondKey(key, i, load)
+		}
+		sc.render(st.sum, s, plan, i, nil)
+		st.in[i] = true
+		st.cached++
+	})
+	sc.end()
+	if st.cached == 0 {
+		return nil
 	}
-	for i, c := range s.Components {
-		seed := sc.root.Int63()
-		terms, cond := layout[i], condLayout[i]
-		if terms == 0 && cond == 0 {
-			continue
-		}
-		sc.child.Seed(seed)
-		tvs := make([][]complex128, terms+cond)
-		for t := range tvs {
-			tvs[t], arena = arena[:cap.N:cap.N], arena[cap.N:]
-		}
-		if plan != nil {
-			sc.ctx.Prep = plan.prep[i]
-		}
-		sc.ctx.Rand = sc.child
-		switch {
-		case cond != 0:
-			// Conditionally static: render for the window-constant load the
-			// capture's trace projects (ctx.Activity stays nil — the load is
-			// passed explicitly, so the renderer cannot accidentally depend
-			// on trace shape).
-			c.(CondStaticRenderer).RenderCondStaticTerms(tvs, condLoad[i], &sc.ctx)
-		case terms == 1:
-			// Single-addend components render straight into the zeroed
-			// stream: 0 + t == t for every addend a renderer produces.
-			c.Render(tvs[0], &sc.ctx)
-		default:
-			c.(StaticTermRenderer).RenderStaticTerms(tvs, &sc.ctx)
-		}
-		sc.ctx.Prep = nil
-		st.comps[i] = tvs
+	st.cond = string(key)
+	bytes := int64(16 * cap.N)
+	staticComponents.Add(int64(st.cached))
+	staticBytes.Add(bytes)
+	if cap.Obs != nil {
+		cap.Obs.StaticCacheBytes.Add(bytes)
 	}
-	sc.ctx.Rand = nil
-	scratchPool.Put(sc)
-	st.cached = cached
-	staticComponents.Add(int64(cached))
 	return st
-}
-
-// replay adds component i's cached addend streams to dst. Adding the
-// streams one after another reproduces the live render's per-sample
-// accumulation chain exactly: the t-th pass leaves dst[j] holding
-// (((dst₀[j]+t₀[j])+t₁[j])+…+t_t[j]), the same association Render builds
-// in its harmonic loop.
-// Eight (then four) streams are folded per pass: each dst[j] still
-// receives its additions in ascending term order, so the arithmetic is
-// unchanged — blocking only cuts the number of times dst streams through
-// memory.
-func (st *StaticSet) replay(dst []complex128, i int) {
-	tvs := st.comps[i]
-	k := 0
-	for ; k+8 <= len(tvs); k += 8 {
-		t0, t1, t2, t3 := tvs[k], tvs[k+1], tvs[k+2], tvs[k+3]
-		t4, t5, t6, t7 := tvs[k+4], tvs[k+5], tvs[k+6], tvs[k+7]
-		for j := range dst {
-			dst[j] = dst[j] + t0[j] + t1[j] + t2[j] + t3[j] + t4[j] + t5[j] + t6[j] + t7[j]
-		}
-	}
-	if k+4 <= len(tvs) {
-		t0, t1, t2, t3 := tvs[k], tvs[k+1], tvs[k+2], tvs[k+3]
-		for j := range dst {
-			dst[j] = dst[j] + t0[j] + t1[j] + t2[j] + t3[j]
-		}
-		k += 4
-	}
-	for ; k < len(tvs); k++ {
-		for j, v := range tvs[k] {
-			dst[j] += v
-		}
-	}
 }
 
 // check panics if the set was built for a different capture identity than
@@ -366,7 +212,7 @@ func (st *StaticSet) replay(dst []complex128, i int) {
 // programming errors.
 func (st *StaticSet) check(cap Capture, ncomp int) {
 	if st.band != cap.Band || st.n != cap.N || st.start != cap.Start || st.seed != cap.Seed ||
-		st.nearField != cap.NearField || st.nearFieldGainDB != cap.NearFieldGainDB || st.ncomp != ncomp {
+		st.nearField != cap.NearField || st.nearFieldGainDB != cap.NearFieldGainDB || len(st.in) != ncomp {
 		panic(fmt.Sprintf(
 			"emsim: static set for band %+v n=%d start=%g seed=%d used with band %+v n=%d start=%g seed=%d",
 			st.band, st.n, st.start, st.seed, cap.Band, cap.N, cap.Start, cap.Seed))

@@ -638,132 +638,12 @@ func (g *SwitchingRegulator) renderPerSample(dst []complex128, ctx *emsim.Contex
 	}
 }
 
-// CondStaticTerms implements emsim.CondStaticRenderer: the regulator's
-// render depends on the activity trace only through its domain load, so a
-// capture whose window load is constant is a pure function of (identity,
-// load) — one addend per in-band harmonic.
-func (g *SwitchingRegulator) CondStaticTerms(band emsim.Band, _ int) (int, bool) {
-	terms := 0
-	for n := 1; n <= g.MaxHarmonics; n++ {
-		if band.Contains(float64(n) * g.FSw) {
-			terms++
-		}
-	}
-	return terms, true
-}
-
-// RenderCondStaticTerms implements emsim.CondStaticRenderer. Under a
-// window-constant load the one-pole loop is at its fixpoint from the first
-// sample (Step primes to exactly its input, and further steps with the
-// same input return the same bits), so the duty phasor and line amplitudes
-// are constants of the capture; what remains per sample is the wander
-// process and the phasor advance, mirrored from Render draw for draw.
-func (g *SwitchingRegulator) RenderCondStaticTerms(terms [][]complex128, load float64, ctx *emsim.Context) {
-	if g.MaxHarmonics <= 0 || g.FSw <= 0 {
-		panic(fmt.Sprintf("machine: regulator %q misconfigured", g.Label))
-	}
-	cs := combPool.Get().(*combScratch)
-	defer combPool.Put(cs)
-	pre, _ := ctx.Prep.(*combPrep)
-	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n++ {
-			if ctx.Band.Contains(float64(n) * g.FSw) {
-				scan = append(scan, n)
-			}
-		}
-		cs.ns = scan
-		ns = scan
-	}
-	if len(terms) != len(ns) {
-		panic(fmt.Sprintf("machine: regulator %q has %d in-band harmonics, %d term streams", g.Label, len(ns), len(terms)))
-	}
-	if len(ns) == 0 {
-		return
-	}
-	r := ctx.Rand
-	dt := ctx.Dt()
-	c1 := cmplx.Abs(sig.PulseHarmonic(g.BaseDuty, 1))
-	a0 := math.Sqrt(math.Pow(10, g.FundamentalDBm/10)) / c1 * nearGain(ctx)
-	wander := sig.OU{Sigma: g.WanderSigma, Tau: g.WanderTau}
-	wander.Init(r)
-	base := 2 * math.Pi * r.Float64()
-	cs.grow(len(ns))
-	z, wpow, dpow, amp := cs.z, cs.wpow, cs.dpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
-	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * base))
-		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.FSw - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
-		wpow[k] = 1
-	}
-	z = z[:len(ns)]
-	stepStatic = stepStatic[:len(z)]
-	dpow = dpow[:len(z)]
-	amp = amp[:len(z)]
-	// The smoothed load is exactly `load` at every sample (see the method
-	// comment), so d and ampl are the constants Render's guard computes on
-	// the first sample — by the same expressions.
-	sm := load
-	d := g.BaseDuty + g.DutySwing*sm
-	ampl := 1 + g.AmpSwing*sm
-	ds, dc := math.Sincos(-math.Pi * d)
-	sig.PowChain(dpow, ns, complex(dc, ds))
-	for k, n := range ns {
-		fn := float64(n)
-		x := fn * d
-		mag := d
-		if x != 0 {
-			mag = d * -imag(dpow[k]) / (math.Pi * x)
-		}
-		amp[k] = a0 * mag * ampl
-	}
-	renorm := 0
-	for i := 0; i < ctx.N; i++ {
-		df := wander.Step(dt, r)
-		if df != 0 {
-			ws, wc := math.Sincos(2 * math.Pi * df * dt)
-			w := complex(wc, ws)
-			curw := complex(1, 0)
-			m := 0
-			for k := range z {
-				dd := ns[k] - m
-				if dd < 8 {
-					for ; dd > 0; dd-- {
-						curw *= w
-					}
-				} else {
-					curw *= sig.Ipow(w, dd)
-				}
-				m = ns[k]
-				v := z[k] * dpow[k]
-				terms[k][i] = complex(amp[k]*real(v), amp[k]*imag(v))
-				z[k] *= stepStatic[k] * curw
-			}
-		} else {
-			for k := range z {
-				v := z[k] * dpow[k]
-				terms[k][i] = complex(amp[k]*real(v), amp[k]*imag(v))
-				z[k] *= stepStatic[k] * wpow[k]
-			}
-		}
-		if renorm++; renorm >= sig.RotatorRenorm {
-			renorm = 0
-			for k := range z {
-				z[k] = sig.Renormalize(z[k])
-			}
-		}
-	}
+// StaticDomain implements emsim.StaticRenderer: the regulator reads the
+// activity trace only through its domain load, so a capture whose window
+// load is constant is a pure function of (capture identity, load) — the
+// one-pole loop then sits at its fixpoint from the first sample.
+func (g *SwitchingRegulator) StaticDomain(emsim.Band, int) (activity.Domain, bool) {
+	return g.Dom, true
 }
 
 // ConstantOnTimeRegulator models the AMD laptop's core regulator (§4.4):
@@ -1107,125 +987,18 @@ func (g *SSCClock) Prepare(band emsim.Band, _ int) any {
 	return p
 }
 
-// StaticTerms implements emsim.StaticRenderer: the clock's emission is
-// activity-independent exactly when the activity envelope cannot move —
-// either no modulating domain (Dom == DomainNone makes the load term read
-// zero for every trace) or a unit idle fraction (the load term has a zero
-// coefficient). In both cases Render's per-sample envelope expression
-// reduces to the constant IdleFrac, so the swept comb is a pure function
-// of the capture identity.
-func (g *SSCClock) StaticTerms(band emsim.Band, _ int) (int, bool) {
-	if g.Dom != activity.DomainNone && g.IdleFrac != 1 {
-		return 0, false
+// StaticDomain implements emsim.StaticRenderer: the clock reads the
+// activity trace only through its domain load's envelope. With a unit idle
+// fraction the load term has a zero coefficient (and DomainNone reads a
+// zero load for every trace), so Render's envelope expression is the
+// constant IdleFrac and the comb is activity-independent; otherwise a
+// window-constant load freezes the envelope, and the swept comb is a pure
+// function of (capture identity, load).
+func (g *SSCClock) StaticDomain(emsim.Band, int) (activity.Domain, bool) {
+	if g.IdleFrac == 1 {
+		return activity.DomainNone, true
 	}
-	terms := 0
-	for n := 1; n <= g.MaxHarmonics; n += 2 {
-		if g.sscInBand(band, n) {
-			terms++
-		}
-	}
-	return terms, true
-}
-
-// RenderStaticTerms implements emsim.StaticTermRenderer. It mirrors Render
-// — same ssc.Start draws, same sweep chain, same renorm schedule — with
-// the envelope fixed at the constant value Render's expression evaluates
-// to in the static cases (IdleFrac + (1−IdleFrac)·0 ≡ IdleFrac, and
-// 1 + 0·load ≡ 1 ≡ IdleFrac when IdleFrac == 1), writing each harmonic's
-// addend stream instead of accumulating into dst.
-func (g *SSCClock) RenderStaticTerms(terms [][]complex128, ctx *emsim.Context) {
-	g.renderTermsEnv(terms, g.IdleFrac, ctx)
-}
-
-// CondStaticTerms implements emsim.CondStaticRenderer: the clock reads
-// the activity trace only through its domain load's envelope, so a
-// window-constant load freezes the envelope and the swept comb becomes a
-// pure function of (identity, load) — one addend per in-band harmonic.
-// (Clocks that are unconditionally static — DomainNone or IdleFrac 1 —
-// classify through StaticTerms instead, which takes precedence.)
-func (g *SSCClock) CondStaticTerms(band emsim.Band, _ int) (int, bool) {
-	terms := 0
-	for n := 1; n <= g.MaxHarmonics; n += 2 {
-		if g.sscInBand(band, n) {
-			terms++
-		}
-	}
-	return terms, true
-}
-
-// RenderCondStaticTerms implements emsim.CondStaticRenderer: the shared
-// term renderer with the envelope frozen at the value Render's per-sample
-// expression yields for the window-constant load.
-func (g *SSCClock) RenderCondStaticTerms(terms [][]complex128, load float64, ctx *emsim.Context) {
-	g.renderTermsEnv(terms, g.IdleFrac+(1-g.IdleFrac)*load, ctx)
-}
-
-// renderTermsEnv writes the clock's addend streams under a constant
-// envelope env, drawing from ctx.Rand exactly as Render does.
-func (g *SSCClock) renderTermsEnv(terms [][]complex128, env float64, ctx *emsim.Context) {
-	cs := combPool.Get().(*combScratch)
-	defer combPool.Put(cs)
-	pre, _ := ctx.Prep.(*combPrep)
-	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n += 2 {
-			if g.sscInBand(ctx.Band, n) {
-				scan = append(scan, n)
-			}
-		}
-		cs.ns = scan
-		ns = scan
-	}
-	if len(terms) != len(ns) {
-		panic(fmt.Sprintf("machine: clock %q has %d in-band harmonics, %d term streams", g.Label, len(ns), len(terms)))
-	}
-	if len(ns) == 0 {
-		return
-	}
-	r := ctx.Rand
-	dt := ctx.Dt()
-	a0 := math.Sqrt(math.Pow(10, g.FundamentalDBm/10)) * nearGain(ctx)
-	ssc := sig.SSC{F0: g.F0, SpreadHz: g.SpreadHz, RateHz: g.RateHz, Profile: g.Profile}
-	ssc.Start(r)
-	cs.grow(len(ns))
-	z, fpow, amp := cs.z, cs.wpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
-	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * ssc.Phase()))
-		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.F0 - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
-		fpow[k] = 1
-		amp[k] = a0 * env / float64(n)
-	}
-	spread := g.SpreadHz != 0
-	renorm := 0
-	for i := 0; i < ctx.N; i++ {
-		if spread {
-			fs2, fc2 := math.Sincos(2 * math.Pi * (ssc.Freq() - g.F0) * dt)
-			sig.PowChain(fpow, ns, complex(fc2, fs2))
-		}
-		for k := range ns {
-			terms[k][i] = complex(amp[k]*real(z[k]), amp[k]*imag(z[k]))
-			z[k] *= stepStatic[k] * fpow[k]
-		}
-		ssc.Step(dt, 0)
-		if renorm++; renorm >= sig.RotatorRenorm {
-			renorm = 0
-			for k := range z {
-				z[k] = sig.Renormalize(z[k])
-			}
-		}
-	}
+	return g.Dom, true
 }
 
 // Render implements emsim.Component. The default path iterates the
@@ -1460,124 +1233,11 @@ func (g *UnmodulatedClock) Prepare(band emsim.Band, _ int) any {
 	return prepComb(band, g.F0, g.MaxHarmonics, 1, 2)
 }
 
-// StaticTerms implements emsim.StaticRenderer: the clock never reads the
+// StaticDomain implements emsim.StaticRenderer: the clock never reads the
 // activity trace — wander draws only from the capture PRNG — so its whole
-// comb is activity-independent, one addend per in-band odd harmonic.
-func (g *UnmodulatedClock) StaticTerms(band emsim.Band, _ int) (int, bool) {
-	terms := 0
-	for n := 1; n <= g.MaxHarmonics; n += 2 {
-		if band.Contains(float64(n) * g.F0) {
-			terms++
-		}
-	}
-	return terms, true
-}
-
-// RenderStaticTerms implements emsim.StaticTermRenderer. It mirrors Render
-// step for step — same PRNG draws, same phasor updates, same renorm
-// schedule — but writes each harmonic's addend stream instead of summing
-// into dst, so replaying the streams in order rebuilds Render's exact
-// accumulation chain.
-func (g *UnmodulatedClock) RenderStaticTerms(terms [][]complex128, ctx *emsim.Context) {
-	cs := combPool.Get().(*combScratch)
-	defer combPool.Put(cs)
-	pre, _ := ctx.Prep.(*combPrep)
-	var ns []int
-	if pre != nil {
-		ns = pre.ns
-	} else {
-		scan := cs.ns[:0]
-		for n := 1; n <= g.MaxHarmonics; n += 2 {
-			if ctx.Band.Contains(float64(n) * g.F0) {
-				scan = append(scan, n)
-			}
-		}
-		cs.ns = scan
-		ns = scan
-	}
-	if len(terms) != len(ns) {
-		panic(fmt.Sprintf("machine: clock %q has %d in-band harmonics, %d term streams", g.Label, len(ns), len(terms)))
-	}
-	if len(ns) == 0 {
-		return
-	}
-	r := ctx.Rand
-	dt := ctx.Dt()
-	a0 := math.Sqrt(math.Pow(10, g.FundamentalDBm/10))
-	wander := sig.OU{Sigma: g.WanderSigma, Tau: g.WanderTau}
-	wander.Init(r)
-	base := 2 * math.Pi * r.Float64()
-	cs.grow(len(ns))
-	z, wpow, amp := cs.z, cs.wpow, cs.amp
-	stepStatic := cs.stepStatic
-	if pre != nil {
-		stepStatic = pre.stepStatic
-	}
-	for k, n := range ns {
-		fn := float64(n)
-		s, c := math.Sincos(wrapPhase(fn * base))
-		z[k] = complex(c, s)
-		if pre == nil {
-			s, c = math.Sincos(2 * math.Pi * (fn*g.F0 - ctx.Band.Center) * dt)
-			stepStatic[k] = complex(c, s)
-		}
-		wpow[k] = 1
-		amp[k] = a0 / float64(n)
-	}
-	if g.WanderSigma == 0 {
-		// Crystal clock: the harmonics never interact, so each addend
-		// stream renders start to finish with its phasor in registers. The
-		// per-harmonic multiply/renorm sequence is exactly Render's.
-		for k := range z {
-			tv := terms[k]
-			zk, sk, ak := z[k], stepStatic[k], amp[k]
-			rn := 0
-			for i := range tv {
-				tv[i] = complex(ak*real(zk), ak*imag(zk))
-				zk *= sk
-				if rn++; rn >= sig.RotatorRenorm {
-					rn = 0
-					zk = sig.Renormalize(zk)
-				}
-			}
-		}
-		return
-	}
-	renorm := 0
-	for i := 0; i < ctx.N; i++ {
-		df := wander.Step(dt, r)
-		if df != 0 {
-			ws, wc := math.Sincos(2 * math.Pi * df * dt)
-			w := complex(wc, ws)
-			cur := complex(1, 0)
-			m := 0
-			for k := range z {
-				d := ns[k] - m
-				if d < 8 {
-					for ; d > 0; d-- {
-						cur *= w
-					}
-				} else {
-					cur *= sig.Ipow(w, d)
-				}
-				m = ns[k]
-				zk := z[k]
-				terms[k][i] = complex(amp[k]*real(zk), amp[k]*imag(zk))
-				z[k] = zk * (stepStatic[k] * cur)
-			}
-		} else {
-			for k := range z {
-				terms[k][i] = complex(amp[k]*real(z[k]), amp[k]*imag(z[k]))
-				z[k] *= stepStatic[k] * wpow[k]
-			}
-		}
-		if renorm++; renorm >= sig.RotatorRenorm {
-			renorm = 0
-			for k := range z {
-				z[k] = sig.Renormalize(z[k])
-			}
-		}
-	}
+// comb is activity-independent.
+func (g *UnmodulatedClock) StaticDomain(emsim.Band, int) (activity.Domain, bool) {
+	return activity.DomainNone, true
 }
 
 // Render implements emsim.Component.

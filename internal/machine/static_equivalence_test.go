@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fase/internal/activity"
@@ -92,31 +93,73 @@ func TestStaticLayerRenderEquivalence(t *testing.T) {
 	}
 }
 
-// TestStaticClassification pins which emitters may enter the static layer:
-// activity-modulated sources must never classify static, while clocks
-// whose envelope cannot move always do.
+// TestStaticClassification pins which emitters may enter the static layer
+// and on what terms: activity-modulated sources must never classify
+// activity-independent (they may join the layer only conditionally, through
+// their own power domain), while clocks whose envelope cannot move always
+// do.
 func TestStaticClassification(t *testing.T) {
 	band := emsim.Band{Center: 300e3, SampleRate: 600e3}
-	if _, ok := emsim.Component(&SwitchingRegulator{FSw: 315e3, MaxHarmonics: 4}).(emsim.StaticRenderer); ok {
-		t.Error("SwitchingRegulator must not classify static (activity-modulated)")
+	classify := func(c emsim.Component) (activity.Domain, bool) {
+		sr, ok := c.(emsim.StaticRenderer)
+		if !ok {
+			return activity.DomainNone, false
+		}
+		return sr.StaticDomain(band, 512)
+	}
+	reg := &SwitchingRegulator{FSw: 315e3, MaxHarmonics: 4, Dom: activity.DomainDRAM}
+	if d, ok := classify(reg); !ok || d != activity.DomainDRAM {
+		t.Errorf("SwitchingRegulator static = (%v, %v), want conditional on its domain (dram, true)", d, ok)
 	}
 	if _, ok := emsim.Component(&RefreshEmitter{}).(emsim.StaticRenderer); ok {
 		t.Error("RefreshEmitter must not classify static (activity-disrupted timing)")
 	}
 	clk := &UnmodulatedClock{F0: 100e3, MaxHarmonics: 5}
-	if terms, ok := clk.StaticTerms(band, 512); !ok || terms != 3 {
-		t.Errorf("UnmodulatedClock static = (%d, %v), want 3 in-band harmonics, static", terms, ok)
+	if d, ok := classify(clk); !ok || d != activity.DomainNone {
+		t.Errorf("UnmodulatedClock static = (%v, %v), want activity-independent (none, true)", d, ok)
 	}
 	modulated := &SSCClock{F0: 300e3, MaxHarmonics: 1, IdleFrac: 0.4, Dom: activity.DomainDRAM}
-	if _, ok := modulated.StaticTerms(band, 512); ok {
-		t.Error("activity-modulated SSCClock must not classify static")
+	if d, ok := classify(modulated); !ok || d != activity.DomainDRAM {
+		t.Errorf("activity-modulated SSCClock static = (%v, %v), want conditional on its domain (dram, true)", d, ok)
 	}
 	decoy := &SSCClock{F0: 300e3, MaxHarmonics: 1, IdleFrac: 0.4, Dom: activity.DomainNone}
-	if terms, ok := decoy.StaticTerms(band, 512); !ok || terms != 1 {
-		t.Errorf("DomainNone SSCClock static = (%d, %v), want (1, true)", terms, ok)
+	if d, ok := classify(decoy); !ok || d != activity.DomainNone {
+		t.Errorf("DomainNone SSCClock static = (%v, %v), want (none, true)", d, ok)
 	}
 	idle := &SSCClock{F0: 300e3, MaxHarmonics: 1, IdleFrac: 1, Dom: activity.DomainDRAM}
-	if terms, ok := idle.StaticTerms(band, 512); !ok || terms != 1 {
-		t.Errorf("IdleFrac=1 SSCClock static = (%d, %v), want (1, true)", terms, ok)
+	if d, ok := classify(idle); !ok || d != activity.DomainNone {
+		t.Errorf("IdleFrac=1 SSCClock static = (%v, %v), want (none, true)", d, ok)
 	}
+}
+
+// TestStaticSetHoldsOneStream pins the static set's memory: however many
+// in-band lines the static comb adds per sample, the set holds the summed
+// layer as one n-sample stream, not one stream per line.
+func TestStaticSetHoldsOneStream(t *testing.T) {
+	const n = 1 << 13
+	band := emsim.Band{Center: 1e6, SampleRate: 2e6}
+	clk := &UnmodulatedClock{Label: "comb", F0: 100e3, MaxHarmonics: 19, FundamentalDBm: -60}
+	scene := &emsim.Scene{}
+	scene.Add(clk)
+	if lines := len(clk.Carriers(band.Center-band.SampleRate/2, band.Center+band.SampleRate/2)); lines < 5 {
+		t.Fatalf("comb has %d in-band lines; the test needs several", lines)
+	}
+	capt := emsim.Capture{Band: band, N: n, Seed: 5, Plan: scene.Plan(band, n)}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st := scene.BuildStaticSet(capt)
+	runtime.ReadMemStats(&after)
+	if st == nil || st.Components() != 1 {
+		t.Fatal("the clock did not enter the static set")
+	}
+	stream := uint64(n * 16)
+	if got := after.TotalAlloc - before.TotalAlloc; got < stream || got >= 2*stream {
+		t.Errorf("building the set allocated %d bytes, want one %d-byte stream", got, stream)
+	}
+	want := scene.Render(capt)
+	got := make([]complex128, n)
+	capt.Static = st
+	scene.RenderInto(got, capt)
+	bitsEqual(t, "one-stream replay", 0, got, want)
 }

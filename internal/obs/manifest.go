@@ -174,9 +174,11 @@ type PlannerStats struct {
 	// StaticCacheHits/Misses are the analyzer's static-layer cache
 	// behaviour (captures whose activity-independent layer was replayed
 	// from cache vs built); StaticComponentsCached and StaticReplays count
-	// the layer's contents and the component renders it saved.
+	// the layer's contents and the component renders it saved, and
+	// StaticCacheBytes the memory the built sets hold.
 	StaticCacheHits        int64         `json:"static_cache_hits"`
 	StaticCacheMisses      int64         `json:"static_cache_misses"`
+	StaticCacheBytes       int64         `json:"static_cache_bytes"`
 	StaticComponentsCached int64         `json:"static_components_cached"`
 	StaticReplays          int64         `json:"static_component_replays"`
 	Segments               []SegmentPlan `json:"segments"`
@@ -287,11 +289,14 @@ func ValidateManifest(data []byte) error {
 	for name, v := range map[string]int64{
 		"plans_built": p.PlansBuilt, "cache_hits": p.CacheHits, "cache_misses": p.CacheMisses,
 		"components_active": p.ComponentsActive, "components_skipped": p.ComponentsSkipped,
-		"render_component_skips": p.RenderSkips,
+		"render_component_skips": p.RenderSkips, "static_cache_bytes": p.StaticCacheBytes,
 	} {
 		if v < 0 {
 			return fmt.Errorf("obs: planner.%s is negative", name)
 		}
+	}
+	if p.StaticCacheBytes > 0 && p.StaticCacheMisses == 0 {
+		return fmt.Errorf("obs: planner.static_cache_bytes is %d with no static cache builds", p.StaticCacheBytes)
 	}
 	for _, seg := range p.Segments {
 		if seg.Samples <= 0 || seg.SampleRate <= 0 || seg.Active < 0 || seg.Skipped < 0 {

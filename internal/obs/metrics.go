@@ -53,8 +53,11 @@ const (
 	MetricStaticCacheMisses    = "fase_render_static_cache_misses_total"
 	MetricStaticComponents     = "fase_render_static_components_cached_total"
 	MetricStaticReplays        = "fase_render_static_component_replays_total"
-	MetricCampaigns            = "fase_core_campaigns_total"
-	MetricDetections           = "fase_core_detections_total"
+	// MetricStaticCacheBytes counts the bytes of every static set built:
+	// the memory the static-layer cache holds while its campaigns run.
+	MetricStaticCacheBytes = "fase_render_static_cache_bytes"
+	MetricCampaigns        = "fase_core_campaigns_total"
+	MetricDetections       = "fase_core_detections_total"
 	// Adaptive-planner counters: campaigns run in adaptive mode, and the
 	// fate of each refinement window the planner scheduled (fully
 	// refined, abandoned after its probe, or skipped for lack of budget).

@@ -437,6 +437,10 @@ func TestValidateManifestRejects(t *testing.T) {
 		{"missing cache", func(m *Manifest) { delete(m.Caches, "window") }},
 		{"bad hit rate", func(m *Manifest) { m.Caches["window"] = CacheStats{HitRate: 2} }},
 		{"negative planner", func(m *Manifest) { m.Planner.PlansBuilt = -1 }},
+		{"negative static cache bytes", func(m *Manifest) { m.Planner.StaticCacheBytes = -1 }},
+		{"static cache bytes without builds", func(m *Manifest) {
+			m.Planner.StaticCacheMisses, m.Planner.StaticCacheBytes = 0, 4096
+		}},
 		{"detection without provenance", func(m *Manifest) {
 			m.Detections = []DetectionRecord{{FreqHz: 1, BestHarmonic: 1}}
 		}},

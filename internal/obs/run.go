@@ -45,6 +45,9 @@ type Run struct {
 	// re-rendered.
 	StaticCacheHits   Counter
 	StaticCacheMisses Counter
+	// StaticCacheBytes sums the bytes of the static sets built for this
+	// run: the static-layer cache's memory.
+	StaticCacheBytes Counter
 
 	start     time.Time
 	startCPU  float64
@@ -210,6 +213,7 @@ func (r *Run) Finish(config any, simulatedSeconds float64, detections []Detectio
 			RenderSkips:            delta.Counters[MetricRenderComponentSkips],
 			StaticCacheHits:        r.StaticCacheHits.Value(),
 			StaticCacheMisses:      r.StaticCacheMisses.Value(),
+			StaticCacheBytes:       r.StaticCacheBytes.Value(),
 			StaticComponentsCached: delta.Counters[MetricStaticComponents],
 			StaticReplays:          delta.Counters[MetricStaticReplays],
 			Segments:               append([]SegmentPlan(nil), r.segments...),

@@ -131,7 +131,7 @@ func manifestPlannerTable(m *obs.Manifest) Table {
 	p := m.Planner
 	return Table{
 		Title:  "Render planner",
-		Header: []string{"plans", "plan hits", "plan misses", "active", "skipped", "render skips", "segments"},
+		Header: []string{"plans", "plan hits", "plan misses", "active", "skipped", "render skips", "segments", "static cache B"},
 		Rows: [][]string{{
 			fmt.Sprintf("%d", p.PlansBuilt),
 			fmt.Sprintf("%d", p.CacheHits),
@@ -140,6 +140,7 @@ func manifestPlannerTable(m *obs.Manifest) Table {
 			fmt.Sprintf("%d", p.ComponentsSkipped),
 			fmt.Sprintf("%d", p.RenderSkips),
 			fmt.Sprintf("%d", len(p.Segments)),
+			fmt.Sprintf("%d", p.StaticCacheBytes),
 		}},
 	}
 }

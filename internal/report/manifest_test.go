@@ -44,7 +44,8 @@ func fixedManifest() *obs.Manifest {
 		Planner: obs.PlannerStats{
 			PlansBuilt: 1, CacheHits: 19, CacheMisses: 1,
 			ComponentsActive: 9, ComponentsSkipped: 20, RenderSkips: 400,
-			Segments: []obs.SegmentPlan{{CenterHz: 400e3, SampleRate: 409600, Samples: 2048, Active: 9, Skipped: 20}},
+			StaticCacheBytes: 32768,
+			Segments:         []obs.SegmentPlan{{CenterHz: 400e3, SampleRate: 409600, Samples: 2048, Active: 9, Skipped: 20}},
 		},
 		Caches: map[string]obs.CacheStats{
 			"fft_plan":        {Hits: 19, Misses: 1, HitRate: 0.95},

@@ -25,6 +25,8 @@ type Diff struct {
 	Caches []CacheDelta
 	// ReplaysA/B are the static-cache component replays (renders saved).
 	ReplaysA, ReplaysB int64
+	// StaticBytesA/B are the bytes the runs' static-layer caches held.
+	StaticBytesA, StaticBytesB int64
 	// Adaptive is present when at least one run carried adaptive stats.
 	Adaptive *AdaptiveDelta
 	// Detections is the detection-set comparison.
@@ -86,6 +88,7 @@ func Compare(a, b *obs.Manifest, aID, bID string) *Diff {
 			InA: true, InB: true},
 		CapturesA: a.Captures, CapturesB: b.Captures,
 		ReplaysA: a.Planner.StaticReplays, ReplaysB: b.Planner.StaticReplays,
+		StaticBytesA: a.Planner.StaticCacheBytes, StaticBytesB: b.Planner.StaticCacheBytes,
 	}
 	bStages := make(map[string]obs.StageTiming, len(b.Stages))
 	for _, st := range b.Stages {
@@ -212,6 +215,7 @@ func (d *Diff) WriteText(w io.Writer) error {
 	}
 	p("\ncaptures: A=%d  B=%d  Δ=%+d\n", d.CapturesA, d.CapturesB, d.CapturesB-d.CapturesA)
 	p("static replays: A=%d  B=%d  Δ=%+d\n", d.ReplaysA, d.ReplaysB, d.ReplaysB-d.ReplaysA)
+	p("static cache bytes: A=%d  B=%d  Δ=%+d\n", d.StaticBytesA, d.StaticBytesB, d.StaticBytesB-d.StaticBytesA)
 	p("\ncaches (hit rate):\n")
 	p("  %-16s %10s %10s %10s %12s %12s\n", "cache", "A", "B", "Δ", "accesses A", "accesses B")
 	for _, c := range d.Caches {

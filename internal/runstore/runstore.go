@@ -115,11 +115,21 @@ func (s *Store) List() ([]Entry, error) {
 // Resolve turns a run reference into a manifest. Three forms are
 // accepted: a file path to a manifest (used as-is), "@N" (the Nth most
 // recent archived run — @0 is the newest), and an id or unique id
-// prefix.
+// prefix. A reference that is a path (it contains a path separator or
+// ends in .json, which ids never do) but names no manifest file fails
+// with an error wrapping fs.ErrNotExist, without listing the store: a
+// content-addressed lookup by path stays O(1) whether it hits or misses.
 func (s *Store) Resolve(ref string) (*obs.Manifest, string, error) {
-	if st, err := os.Stat(ref); err == nil && !st.IsDir() {
+	st, err := os.Stat(ref)
+	if err == nil && !st.IsDir() {
 		m, err := readManifestFile(ref)
 		return m, ref, err
+	}
+	if filepath.Base(ref) != ref || strings.HasSuffix(ref, ".json") {
+		if err == nil {
+			err = fmt.Errorf("%s is a directory", ref)
+		}
+		return nil, "", fmt.Errorf("runstore: resolve: %w", err)
 	}
 	if n, ok := strings.CutPrefix(ref, "@"); ok {
 		idx, err := strconv.Atoi(n)

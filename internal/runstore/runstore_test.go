@@ -1,6 +1,8 @@
 package runstore
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,6 +134,27 @@ func TestStoreAddListResolve(t *testing.T) {
 	}
 }
 
+// TestResolveMissingPathSkipsListing pins the content-addressed miss: a
+// path reference that names no file must fail with fs.ErrNotExist at
+// once, without reading the store. The store holds a corrupt manifest, so
+// any fallback to listing it surfaces as a different error.
+func TestResolveMissingPathSkipsListing(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "runs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.Dir, "corrupt.json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = s.Resolve(filepath.Join(s.Dir, "0123456789ab.json"))
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing path resolved to %v, want an error wrapping fs.ErrNotExist", err)
+	}
+	if _, _, err := s.Resolve(s.Dir); err == nil {
+		t.Error("a directory path must not resolve")
+	}
+}
+
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Fatal("empty dir must be rejected")
@@ -143,6 +166,7 @@ func TestCompareAndWriteText(t *testing.T) {
 	a.Stages = append(a.Stages, obs.StageTiming{Name: "detect", WallSeconds: 0.1, CPUSeconds: 0.1})
 	a.Caches = map[string]obs.CacheStats{"fft_plan": {Hits: 9, Misses: 1, HitRate: 0.9}}
 	a.Planner.StaticReplays = 40
+	a.Planner.StaticCacheBytes = 1 << 20
 	a.Adaptive = &obs.AdaptiveStats{
 		Budget: 30, CapturesUsed: 20, ExhaustiveCaptures: 100,
 		ReconCaptures: 5, RefineCaptures: 15, ReconFresHz: 1600, Candidates: 2,
@@ -200,6 +224,7 @@ func TestCompareAndWriteText(t *testing.T) {
 		"run diff: A=runA  B=runB",
 		"sweeps", "detect", "score", "total",
 		"static replays: A=40  B=0",
+		"static cache bytes: A=1048576  B=0",
 		"fft_plan", "window",
 		"adaptive spend",
 		"1 matched, 0 only in A, 1 only in B",

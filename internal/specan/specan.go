@@ -77,7 +77,8 @@ type Config struct {
 	// the same identity. Profitable exactly when sweeps share Seed and
 	// differ only in activity, as a campaign's alternation sweeps do.
 	// Replay is bit-identical to live rendering at any Parallelism; the
-	// default (off) is the escape hatch, mirrored by core.Campaign.NoReuse.
+	// default (off) renders every capture live, the reference the
+	// equivalence tests compare the cache against.
 	ReuseStatic bool
 	// NoSegment disables run-length segmentation in load-following
 	// renderers: captures then walk the activity trace sample by sample
@@ -261,7 +262,7 @@ func (a *Analyzer) planFor(scene *emsim.Scene, band emsim.Band, n int) *emsim.Re
 // building it on first use (nil when the scene has nothing cacheable for
 // the geometry — the entry still caches that answer).
 func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, start float64, plan *emsim.RenderPlan) *emsim.StaticSet {
-	if plan != nil && plan.StaticCount() == 0 && plan.CondStaticCount() == 0 {
+	if plan != nil && plan.StaticCount() == 0 {
 		return nil
 	}
 	key := staticKey{
@@ -271,17 +272,12 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 	}
 	// The conditional-static key distinguishes sets within one identity:
 	// the same (band, seed, start) capture under different window-constant
-	// loads caches different regulator layers. Skipped when the plan rules
-	// out conditional components for this geometry.
-	var kb *condKeyBuf
-	cond := []byte(nil)
-	if plan == nil || plan.CondStaticCount() > 0 {
-		kb = condKeyPool.Get().(*condKeyBuf)
-		kb.b = req.Scene.AppendCondStaticKey(kb.b[:0], emsim.Capture{
-			Band: band, Start: start, N: n, Activity: req.Activity, Plan: plan,
-		})
-		cond = kb.b
-	}
+	// loads caches different regulator layers.
+	kb := condKeyPool.Get().(*condKeyBuf)
+	kb.b = req.Scene.AppendCondStaticKey(kb.b[:0], emsim.Capture{
+		Band: band, Start: start, N: n, Activity: req.Activity, Plan: plan,
+	})
+	cond := kb.b
 	sc := a.statics
 	sc.mu.RLock()
 	bk := sc.m[key]
@@ -316,12 +312,10 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 			Band: band, Start: start, N: n, Seed: seed,
 			Activity:  req.Activity,
 			NearField: req.NearField, NearFieldGainDB: req.NearFieldGainDB,
-			Plan: plan,
+			Plan: plan, Obs: a.cfg.Obs,
 		})
 	})
-	if kb != nil {
-		condKeyPool.Put(kb)
-	}
+	condKeyPool.Put(kb)
 	if hit {
 		staticHitsTotal.Inc()
 		if run := a.cfg.Obs; run != nil {
