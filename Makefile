@@ -57,9 +57,10 @@ equivalence:
 # fuzz-smoke briefly fuzzes the Band/extent overlap invariants the render
 # planner's culling correctness rests on, the campaign config validator,
 # the manifest table renderer (NaN/Inf/negative-frequency inputs), the
-# real-input FFT against the complex reference transform, and the campaign
+# real-input FFT against the complex reference transform, the campaign
 # service's submit endpoint (arbitrary request bodies must answer 400 and
-# never panic the server).
+# never panic the server), and the render kernels' first-octant Sincos
+# against math.Sincos (bit for bit on arbitrary float64 inputs).
 fuzz-smoke:
 	$(GO) test -run FuzzExtent -fuzz FuzzExtent -fuzztime 5s ./internal/emsim
 	$(GO) test -run xxx -fuzz FuzzCampaignValidate -fuzztime 5s ./internal/core
@@ -67,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzManifestTables -fuzztime 5s ./internal/report
 	$(GO) test -run xxx -fuzz FuzzRFFT -fuzztime 5s ./internal/dsp/fft
 	$(GO) test -run xxx -fuzz FuzzSubmitScan -fuzztime 5s ./internal/service
+	$(GO) test -run xxx -fuzz FuzzSincos -fuzztime 5s ./internal/sig
 
 # bench-smoke runs the pipeline micro-benchmarks once each — enough to
 # catch a benchmark that no longer compiles or panics, without the cost of

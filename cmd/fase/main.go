@@ -232,9 +232,11 @@ func run() int {
 		}
 	}
 	if *runsDir != "" {
-		if err := archiveRun(*runsDir, runner.Obs); err != nil {
+		if e, err := archiveRun(*runsDir, runner.Obs, *sysName, *env); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			ok = false
+		} else {
+			fmt.Printf("archived run %s -> %s\n", e.ID, e.Path)
 		}
 	}
 	if *linger > 0 && *pprofAddr != "" {
@@ -247,22 +249,22 @@ func run() int {
 	return 0
 }
 
-// archiveRun stores the finished run's manifest in the history store.
-func archiveRun(dir string, run *obs.Run) error {
+// archiveRun stores the finished run's manifest in the history store at
+// its content address: the manifest config wrapped with the scene
+// parameters (core.ResultConfig), exactly as the campaign service
+// archives it, so the same scan on two systems gets two ids.
+func archiveRun(dir string, run *obs.Run, system string, environment bool) (runstore.Entry, error) {
 	m := run.Manifest()
 	if m == nil {
-		return fmt.Errorf("runstore: no manifest to archive (campaign did not finish)")
+		return runstore.Entry{}, fmt.Errorf("runstore: no manifest to archive (campaign did not finish)")
 	}
 	store, err := runstore.Open(dir)
 	if err != nil {
-		return err
+		return runstore.Entry{}, err
 	}
-	e, err := store.Add(m)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("archived run %s -> %s\n", e.ID, e.Path)
-	return nil
+	archived := *m
+	archived.Config = core.ResultConfig{System: system, Environment: environment, Scan: m.Config}
+	return store.Add(&archived)
 }
 
 // runRuns implements `fase runs -dir DIR`: list the archived runs,

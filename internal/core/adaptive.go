@@ -529,11 +529,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	// All campaign harmonics are scored on the recon grid — cheap at
 	// coarse resolution, and it gives every final detection full
 	// per-harmonic provenance on the Result's score maps.
-	res.Scores = make(map[int][]float64, len(c.Harmonics))
-	res.Elevated = make(map[int][]int, len(c.Harmonics))
-	for _, h := range c.Harmonics {
-		res.Scores[h], res.Elevated[h] = ScoreDetail(reconSmoothed, reconFAlts, h, 2)
-	}
+	res.Scores, res.Elevated = scoreHarmonics(reconSmoothed, reconFAlts, c.Harmonics)
 	releaseSmoothed(reconSmoothed)
 	cands := reconCandidates(res.Scores, res.Elevated, c.Harmonics, reconSpectra[0], c, ap)
 	reconSpan.End()
@@ -562,8 +558,8 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		probeStash[w.idx] = sp
 		sm := smoothPooled(sp, c.SmoothBins)
 		best := 0.0
-		for _, h := range probeHarmonics(c.Harmonics) {
-			trace, _ := ScoreDetail(sm, reconFAlts, h, 2)
+		traces, _ := scoreHarmonics(sm, reconFAlts, probeHarmonics(c.Harmonics))
+		for _, trace := range traces {
 			for _, v := range trace {
 				if v > best {
 					best = v
@@ -590,11 +586,7 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 			wres.Measurements[i] = Measurement{FAlt: falts[i], Spectrum: sp}
 		}
 		smoothed := smoothPooled(spectra, c.SmoothBins)
-		wres.Scores = make(map[int][]float64, len(c.Harmonics))
-		wres.Elevated = make(map[int][]int, len(c.Harmonics))
-		for _, h := range c.Harmonics {
-			wres.Scores[h], wres.Elevated[h] = ScoreDetail(smoothed, falts, h, 2)
-		}
+		wres.Scores, wres.Elevated = scoreHarmonics(smoothed, falts, c.Harmonics)
 		dets := detect(wres, spectra, smoothed, falts)
 		releaseSmoothed(smoothed)
 		windowDets[w.idx] = dets

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"fase/internal/dsp/bufpool"
 	"fase/internal/dsp/spectral"
 )
 
@@ -53,16 +54,53 @@ func Score(spectra []*spectral.Spectrum, falts []float64, h int) []float64 {
 // static line) elevate only a few — so requiring a majority of elevated
 // sub-scores discriminates carriers from ghosts without sacrificing the
 // paper's robustness to a minority of obscured side-bands.
+//
+// It is a thin wrapper over the measurements' ratio table: it builds the
+// table and scores one harmonic from it. The campaign reduce scores all
+// of its harmonics from a single table (scoreHarmonics).
 func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int, minRatio float64) ([]float64, []int) {
+	t := newRatioTable(spectra, falts)
+	defer t.release()
+	return t.score(h, minRatio)
+}
+
+// scoreHarmonics scores every harmonic in hs from one ratio table,
+// returning the product traces and elevated counts keyed by harmonic
+// (ScoreDetail with minRatio 2 for each).
+func scoreHarmonics(spectra []*spectral.Spectrum, falts []float64, hs []int) (map[int][]float64, map[int][]int) {
+	t := newRatioTable(spectra, falts)
+	defer t.release()
+	scores := make(map[int][]float64, len(hs))
+	elevated := make(map[int][]int, len(hs))
+	for _, h := range hs {
+		scores[h], elevated[h] = t.score(h, 2)
+	}
+	return scores, elevated
+}
+
+// ratioTable holds every measurement's sub-score ratio at every bin m,
+//
+//	rows[i][m] = v_i[m] / max(mean_{j≠i} v_j[m], scoreFloor),
+//
+// with each v clamped below at scoreFloor. The ratio does not depend on
+// the harmonic — harmonic h only decides which bin m = k + round(h·falt_i
+// / fres) sub-score i reads for candidate bin k — so one table serves
+// every harmonic of a campaign, and the per-harmonic work is a shifted
+// product and count over it. Rows come from bufpool; release returns
+// them.
+type ratioTable struct {
+	rows  [][]float64
+	falts []float64
+	fres  float64
+}
+
+func newRatioTable(spectra []*spectral.Spectrum, falts []float64) ratioTable {
 	n := len(spectra)
 	if n < 2 {
 		panic(fmt.Sprintf("core: need at least 2 measurements, got %d", n))
 	}
 	if len(falts) != n {
 		panic(fmt.Sprintf("core: %d spectra but %d alternation frequencies", n, len(falts)))
-	}
-	if h == 0 {
-		panic("core: harmonic must be nonzero")
 	}
 	base := spectra[0]
 	for _, s := range spectra[1:] {
@@ -71,32 +109,23 @@ func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int, minRatio 
 		}
 	}
 	bins := base.Bins()
-	// Bin shift of each measurement for this harmonic.
-	shifts := make([]int, n)
-	for i, fa := range falts {
-		shifts[i] = int(math.Round(float64(h) * fa / base.Fres))
-	}
-	// Column sums across measurements, for O(1) leave-one-out means.
-	colSum := make([]float64, bins)
+	// Column sums across measurements, for O(1) leave-one-out means,
+	// accumulated in measurement order.
+	colSum := bufpool.Float(bins)
+	defer bufpool.PutFloat(colSum)
+	clear(colSum)
 	for _, s := range spectra {
-		for m, v := range s.PmW {
+		for m, v := range s.PmW[:bins] {
 			if v < scoreFloor {
 				v = scoreFloor
 			}
 			colSum[m] += v
 		}
 	}
-	prod := make([]float64, bins)
-	elev := make([]int, bins)
-	for k := range prod {
-		score := 1.0
-		count := 0
-		for i, s := range spectra {
-			m := k + shifts[i]
-			if m < 0 || m >= bins {
-				continue // out of range: neutral sub-score
-			}
-			v := s.PmW[m]
+	rows := make([][]float64, n)
+	for i, s := range spectra {
+		row := bufpool.Float(bins)
+		for m, v := range s.PmW[:bins] {
 			if v < scoreFloor {
 				v = scoreFloor
 			}
@@ -104,16 +133,90 @@ func ScoreDetail(spectra []*spectral.Spectrum, falts []float64, h int, minRatio 
 			if denom < scoreFloor {
 				denom = scoreFloor
 			}
-			r := v / denom
-			score *= r
-			if r >= minRatio {
-				count++
-			}
+			row[m] = v / denom
 		}
-		prod[k] = score
-		elev[k] = count
+		rows[i] = row
+	}
+	return ratioTable{rows: rows, falts: falts, fres: base.Fres}
+}
+
+// release returns the table's rows to the pool; the table must not be
+// used afterwards.
+func (t ratioTable) release() {
+	for i, row := range t.rows {
+		bufpool.PutFloat(row)
+		t.rows[i] = nil
+	}
+}
+
+// score evaluates harmonic h: prod[k] is the product, in measurement
+// order, of the sub-scores rows[i][k+shift_i] whose shifted bin is in
+// range (out-of-range sub-scores are neutral), and elev[k] counts those
+// at or above minRatio.
+func (t ratioTable) score(h int, minRatio float64) ([]float64, []int) {
+	if h == 0 {
+		panic("core: harmonic must be nonzero")
+	}
+	bins := len(t.rows[0])
+	// Candidate bins in [lo, hi) read every row in range; the bins
+	// outside it, at most the largest shift on each side, take the
+	// range-checked path.
+	shifts := make([]int, len(t.rows))
+	lo, hi := 0, bins
+	for i, fa := range t.falts {
+		shifts[i] = int(math.Round(float64(h) * fa / t.fres))
+		lo, hi = max(lo, -shifts[i]), min(hi, bins-shifts[i])
+	}
+	lo = min(lo, bins)
+	hi = max(hi, lo)
+	prod := make([]float64, bins)
+	elev := make([]int, bins)
+	for k := 0; k < lo; k++ {
+		prod[k], elev[k] = t.scoreBin(k, shifts, minRatio)
+	}
+	for k := hi; k < bins; k++ {
+		prod[k], elev[k] = t.scoreBin(k, shifts, minRatio)
+	}
+	if lo == hi {
+		return prod, elev
+	}
+	n := hi - lo
+	src := make([][]float64, len(t.rows))
+	for i, row := range t.rows {
+		src[i] = row[lo+shifts[i] : hi+shifts[i] : hi+shifts[i]]
+	}
+	p, e := prod[lo:hi:hi], elev[lo:hi:hi]
+	for k := 0; k < n; k++ {
+		v, c := 1.0, 0
+		for _, row := range src {
+			r := row[k]
+			v *= r
+			// Counted without a branch: whether a ratio clears minRatio
+			// is data-dependent, and a branch on it mispredicts often.
+			inc := 0
+			if r >= minRatio {
+				inc = 1
+			}
+			c += inc
+		}
+		p[k], e[k] = v, c
 	}
 	return prod, elev
+}
+
+// scoreBin is score at one candidate bin k, range-checking each shifted
+// bin.
+func (t ratioTable) scoreBin(k int, shifts []int, minRatio float64) (float64, int) {
+	v, c := 1.0, 0
+	for i, row := range t.rows {
+		if m := k + shifts[i]; m >= 0 && m < len(row) {
+			v *= row[m]
+			if row[m] >= minRatio {
+				c++
+			}
+		}
+	}
+	return v, c
 }
 
 // SmoothSpectrum returns a copy of s whose bins are replaced by a
@@ -183,40 +286,19 @@ func SubScores(spectra []*spectral.Spectrum, falts []float64, h int) [][]float64
 	if n < 2 || len(falts) != n || h == 0 {
 		panic("core: SubScores needs >=2 matching spectra and a nonzero harmonic")
 	}
-	base := spectra[0]
-	bins := base.Bins()
-	shifts := make([]int, n)
-	for i, fa := range falts {
-		shifts[i] = int(math.Round(float64(h) * fa / base.Fres))
-	}
-	colSum := make([]float64, bins)
-	for _, s := range spectra {
-		for m, v := range s.PmW {
-			if v < scoreFloor {
-				v = scoreFloor
-			}
-			colSum[m] += v
-		}
-	}
+	t := newRatioTable(spectra, falts)
+	defer t.release()
+	bins := len(t.rows[0])
 	out := make([][]float64, n)
-	for i := range out {
+	for i, row := range t.rows {
+		shift := int(math.Round(float64(h) * falts[i] / t.fres))
 		trace := make([]float64, bins)
-		s := spectra[i]
 		for k := range trace {
-			m := k + shifts[i]
-			if m < 0 || m >= bins {
+			if m := k + shift; m >= 0 && m < bins {
+				trace[k] = row[m]
+			} else {
 				trace[k] = 1
-				continue
 			}
-			v := s.PmW[m]
-			if v < scoreFloor {
-				v = scoreFloor
-			}
-			denom := (colSum[m] - v) / float64(n-1)
-			if denom < scoreFloor {
-				denom = scoreFloor
-			}
-			trace[k] = v / denom
 		}
 		out[i] = trace
 	}
@@ -232,9 +314,6 @@ func DefaultHarmonics() []int {
 // ScoreAll evaluates the heuristic for every harmonic in hs and returns a
 // map harmonic → score trace.
 func ScoreAll(spectra []*spectral.Spectrum, falts []float64, hs []int) map[int][]float64 {
-	out := make(map[int][]float64, len(hs))
-	for _, h := range hs {
-		out[h] = Score(spectra, falts, h)
-	}
-	return out
+	scores, _ := scoreHarmonics(spectra, falts, hs)
+	return scores
 }

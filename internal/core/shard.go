@@ -137,11 +137,7 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp
 	endSmooth()
 	endScore := run.Stage("score")
 	scoreSpan := camp.Child("score")
-	res.Scores = make(map[int][]float64, len(c.Harmonics))
-	res.Elevated = make(map[int][]int, len(c.Harmonics))
-	for _, h := range c.Harmonics {
-		res.Scores[h], res.Elevated[h] = ScoreDetail(smoothed, falts, h, 2)
-	}
+	res.Scores, res.Elevated = scoreHarmonics(smoothed, falts, c.Harmonics)
 	scoreSpan.End()
 	endScore()
 	endDetect := run.Stage("detect")
@@ -164,13 +160,26 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp
 	return res, nil
 }
 
-// ResolvedConfig validates the campaign and returns its defaults-resolved
-// manifest configuration — the same record RunE stores in the run
-// manifest and runstore hashes for content addressing. Services use it to
-// compute a submission's identity before (and independent of) running it.
-func (c Campaign) ResolvedConfig() (any, error) {
+// ResultConfig is the content-addressed identity of a campaign result:
+// the scene parameters plus the defaults-resolved campaign config, which
+// is the record RunE stores as its manifest Config. runstore hashes its
+// canonical JSON, so every path that archives runs — the CLI's -runs-dir
+// and the campaign service — gives the same work the same id, and the
+// same campaign on two systems two ids.
+type ResultConfig struct {
+	System      string `json:"system"`
+	Environment bool   `json:"environment"`
+	Scan        any    `json:"scan"`
+}
+
+// ResultConfig validates the campaign and returns the identity of its
+// result on the named system, with or without the RF environment.
+// Services use it to compute a submission's content address before (and
+// independent of) running it; a finished run's manifest Config wrapped
+// the same way names the same address.
+func (c Campaign) ResultConfig(system string, environment bool) (ResultConfig, error) {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return ResultConfig{}, err
 	}
-	return manifestConfig(c.withDefaults()), nil
+	return ResultConfig{System: system, Environment: environment, Scan: manifestConfig(c.withDefaults())}, nil
 }

@@ -36,7 +36,9 @@ type Options struct {
 }
 
 // Find locates local maxima in x and returns them sorted by descending
-// value. A plateau reports its leftmost sample.
+// value. A plateau reports its leftmost sample. Prominence (and the
+// saddle bases) is computed only for maxima whose value is at least
+// opt.MinValue; the others are discarded before the walk.
 func Find(x []float64, opt Options) []Peak {
 	var out []Peak
 	n := len(x)
@@ -53,10 +55,15 @@ func Find(x []float64, opt Options) []Peak {
 			i = j
 			continue
 		}
-		p := Peak{Index: i, Value: x[i]}
-		p.Prominence, p.LeftBase, p.RightBase = prominence(x, i)
-		if p.Value >= opt.MinValue && p.Prominence >= opt.MinProminence {
-			out = append(out, p)
+		// The value gate comes first: a prominence walk can span the
+		// whole trace, and most local maxima of a score trace sit far
+		// below MinValue.
+		if x[i] >= opt.MinValue {
+			p := Peak{Index: i, Value: x[i]}
+			p.Prominence, p.LeftBase, p.RightBase = prominence(x, i)
+			if p.Prominence >= opt.MinProminence {
+				out = append(out, p)
+			}
 		}
 		i = j
 	}

@@ -328,7 +328,7 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 
 	base := 2 * math.Pi * r.Float64()
 	cs.grow(len(ns))
-	z, wpow, dpow, amp := cs.z, cs.wpow, cs.dpow, cs.amp
+	z, dpow, amp := cs.z, cs.dpow, cs.amp
 	stepStatic := cs.stepStatic
 	if pre != nil {
 		stepStatic = pre.stepStatic
@@ -341,12 +341,12 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 			s, c = math.Sincos(2 * math.Pi * (fn*g.FSw - ctx.Band.Center) * dt)
 			stepStatic[k] = complex(c, s)
 		}
-		wpow[k] = 1
 	}
 	z = z[:len(ns)]
 	stepStatic = stepStatic[:len(z)]
 	dpow = dpow[:len(z)]
 	amp = amp[:len(z)]
+	comb := regComb{ns: ns, z: z, step: stepStatic, dpow: dpow, amp: amp, a0: a0}
 	runs := ctx.DomainRuns(g.Dom)
 	lastD, lastAmpl := math.NaN(), math.NaN()
 	// prevSm tracks the loop filter's previous output across runs: a Step
@@ -360,123 +360,37 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 		if !ok {
 			break
 		}
-		i := i0
 		settled := false
-		// Head: per-sample until the control loop settles on this run's
-		// load — the same work the per-sample walk does, minus the cursor.
-		for ; i < i1 && !settled; i++ {
-			sm := loop.Step(load)
-			settled = sm == prevSm
-			prevSm = sm
-			d := g.BaseDuty + g.DutySwing*sm
-			ampl := 1 + g.AmpSwing*sm
-			if d != lastD || ampl != lastAmpl {
-				if d != lastD {
-					ds, dc := math.Sincos(-math.Pi * d)
-					sig.PowChain(dpow, ns, complex(dc, ds))
+		for i := i0; i < i1; i++ {
+			// Head: the control loop is stepped per sample until it settles
+			// on this run's load; after that the duty phasor and line
+			// amplitudes are frozen for the rest of the run (the tail).
+			var d, ampl float64
+			refresh := false
+			if !settled {
+				sm := loop.Step(load)
+				settled = sm == prevSm
+				prevSm = sm
+				d = g.BaseDuty + g.DutySwing*sm
+				ampl = 1 + g.AmpSwing*sm
+				refresh = d != lastD || ampl != lastAmpl
+			}
+			// Without a wander process, or on a zero draw, the rotation is
+			// the identity (OU.Step with Sigma == 0 draws nothing and
+			// returns 0, so not calling it is exact).
+			w := complex(1, 0)
+			if !noWander {
+				if df := wander.Step(dt, r); df != 0 {
+					ws, wc := sig.Sincos(2 * math.Pi * df * dt)
+					w = complex(wc, ws)
 				}
-				for k, n := range ns {
-					fn := float64(n)
-					x := fn * d
-					mag := d
-					if x != 0 {
-						mag = d * -imag(dpow[k]) / (math.Pi * x)
-					}
-					amp[k] = a0 * mag * ampl
-				}
+			}
+			if refresh {
+				ds, dc := sig.Sincos(-math.Pi * d)
+				dst[i] = comb.head(dst[i], d, ampl, complex(dc, ds), w)
 				lastD, lastAmpl = d, ampl
-			}
-			df := wander.Step(dt, r)
-			if df != 0 {
-				ws, wc := math.Sincos(2 * math.Pi * df * dt)
-				w := complex(wc, ws)
-				curw := complex(1, 0)
-				m := 0
-				acc := dst[i]
-				for k := range z {
-					dd := ns[k] - m
-					if dd < 8 {
-						for ; dd > 0; dd-- {
-							curw *= w
-						}
-					} else {
-						curw *= sig.Ipow(w, dd)
-					}
-					m = ns[k]
-					v := z[k] * dpow[k]
-					acc += complex(amp[k]*real(v), amp[k]*imag(v))
-					z[k] *= stepStatic[k] * curw
-				}
-				dst[i] = acc
 			} else {
-				acc := dst[i]
-				for k := range z {
-					v := z[k] * dpow[k]
-					acc += complex(amp[k]*real(v), amp[k]*imag(v))
-					z[k] *= stepStatic[k] * wpow[k]
-				}
-				dst[i] = acc
-			}
-			if renorm++; renorm >= sig.RotatorRenorm {
-				renorm = 0
-				for k := range z {
-					z[k] = sig.Renormalize(z[k])
-				}
-			}
-		}
-		// Tail: duty phasor and amplitudes are frozen for the rest of the
-		// run. With no wander process the loop is pure phasor advance
-		// (OU.Step with Sigma == 0 draws nothing and returns 0, so not
-		// calling it is exact); otherwise the wander draw stays per sample.
-		if noWander {
-			for ; i < i1; i++ {
-				acc := dst[i]
-				for k := range z {
-					v := z[k] * dpow[k]
-					acc += complex(amp[k]*real(v), amp[k]*imag(v))
-					z[k] *= stepStatic[k] * wpow[k]
-				}
-				dst[i] = acc
-				if renorm++; renorm >= sig.RotatorRenorm {
-					renorm = 0
-					for k := range z {
-						z[k] = sig.Renormalize(z[k])
-					}
-				}
-			}
-			continue
-		}
-		for ; i < i1; i++ {
-			df := wander.Step(dt, r)
-			if df != 0 {
-				ws, wc := math.Sincos(2 * math.Pi * df * dt)
-				w := complex(wc, ws)
-				curw := complex(1, 0)
-				m := 0
-				acc := dst[i]
-				for k := range z {
-					dd := ns[k] - m
-					if dd < 8 {
-						for ; dd > 0; dd-- {
-							curw *= w
-						}
-					} else {
-						curw *= sig.Ipow(w, dd)
-					}
-					m = ns[k]
-					v := z[k] * dpow[k]
-					acc += complex(amp[k]*real(v), amp[k]*imag(v))
-					z[k] *= stepStatic[k] * curw
-				}
-				dst[i] = acc
-			} else {
-				acc := dst[i]
-				for k := range z {
-					v := z[k] * dpow[k]
-					acc += complex(amp[k]*real(v), amp[k]*imag(v))
-					z[k] *= stepStatic[k] * wpow[k]
-				}
-				dst[i] = acc
+				dst[i] = comb.tail(dst[i], w)
 			}
 			if renorm++; renorm >= sig.RotatorRenorm {
 				renorm = 0
@@ -486,6 +400,74 @@ func (g *SwitchingRegulator) Render(dst []complex128, ctx *emsim.Context) {
 			}
 		}
 	}
+}
+
+// regComb is the segmented regulator render's per-capture harmonic state:
+// the in-band harmonic numbers with, per harmonic, the unit phasor z, its
+// static per-sample rotation, the duty phasor power e^{-iπnd} and the
+// line amplitude. Its two passes are kept out of Render, whose register
+// pressure would otherwise spill the hot loop's state to the stack.
+type regComb struct {
+	ns      []int
+	z, step []complex128
+	dpow    []complex128
+	amp     []float64
+	a0      float64
+}
+
+// head renders one sample while the duty d or amplitude factor ampl
+// moves, and returns acc plus the sample. One pass over the harmonics
+// fuses the duty power chain of wd = e^{-iπd} (PowChain's multiplies,
+// stored into dpow), the d·sinc(n·d) line amplitudes, the power chain of
+// the wander rotation w, the accumulation and the phasor advance; each
+// element sees the same operations in the same order as the per-sample
+// walk's separate passes. Recomputing dpow for an unchanged d is exact,
+// so an amplitude-only change takes this pass too.
+func (c *regComb) head(acc complex128, d, ampl float64, wd, w complex128) complex128 {
+	z := c.z
+	step, dpow, amp, ns := c.step[:len(z)], c.dpow[:len(z)], c.amp[:len(z)], c.ns[:len(z)]
+	curd, curw := complex(1, 0), complex(1, 0)
+	m := 0
+	for k := range z {
+		n := ns[k]
+		curd = sig.PowStep(curd, wd, n-m)
+		curw = sig.PowStep(curw, w, n-m)
+		m = n
+		dpow[k] = curd
+		// Fourier magnitude of harmonic n at duty d: d·sinc(n·d), with
+		// sin(πnd) = −imag(e^{-iπnd}) read off the duty phasor.
+		x := float64(n) * d
+		mag := d
+		if x != 0 {
+			mag = d * -imag(curd) / (math.Pi * x)
+		}
+		a := c.a0 * mag * ampl
+		amp[k] = a
+		// Pulse-train harmonic phase is -π·n·d (pulse centering).
+		v := z[k] * curd
+		acc += complex(a*real(v), a*imag(v))
+		z[k] *= step[k] * curw
+	}
+	return acc
+}
+
+// tail renders one sample with the duty phasor and amplitudes frozen,
+// the wander power chain fused into the accumulation. An identity
+// rotation w = 1 keeps every power at exactly 1 — the per-sample walk's
+// wpow — so it needs no separate loop.
+func (c *regComb) tail(acc, w complex128) complex128 {
+	z := c.z
+	step, dpow, amp, ns := c.step[:len(z)], c.dpow[:len(z)], c.amp[:len(z)], c.ns[:len(z)]
+	curw := complex(1, 0)
+	m := 0
+	for k := range z {
+		curw = sig.PowStep(curw, w, ns[k]-m)
+		m = ns[k]
+		v := z[k] * dpow[k]
+		acc += complex(amp[k]*real(v), amp[k]*imag(v))
+		z[k] *= step[k] * curw
+	}
+	return acc
 }
 
 // renderPerSample is the pre-segmentation render path, kept verbatim as
@@ -1075,7 +1057,7 @@ func (g *SSCClock) Render(dst []complex128, ctx *emsim.Context) {
 		}
 		for i := i0; i < i1; i++ {
 			if spread {
-				fs2, fc2 := math.Sincos(2 * math.Pi * (ssc.Freq() - g.F0) * dt)
+				fs2, fc2 := sig.Sincos(2 * math.Pi * (ssc.Freq() - g.F0) * dt)
 				sig.PowChain(fpow, ns, complex(fc2, fs2))
 			}
 			acc := dst[i]
@@ -1308,20 +1290,13 @@ func (g *UnmodulatedClock) Render(dst []complex128, ctx *emsim.Context) {
 			// cur advances through the same sequence of multiplies PowChain
 			// would store into wpow, so z evolves bit-identically while the
 			// wpow array round trip disappears.
-			ws, wc := math.Sincos(2 * math.Pi * df * dt)
+			ws, wc := sig.Sincos(2 * math.Pi * df * dt)
 			w := complex(wc, ws)
 			cur := complex(1, 0)
 			m := 0
 			acc := dst[i]
 			for k := range z {
-				d := ns[k] - m
-				if d < 8 {
-					for ; d > 0; d-- {
-						cur *= w
-					}
-				} else {
-					cur *= sig.Ipow(w, d)
-				}
+				cur = sig.PowStep(cur, w, ns[k]-m)
 				m = ns[k]
 				zk := z[k]
 				acc += complex(amp[k]*real(zk), amp[k]*imag(zk))

@@ -1,12 +1,14 @@
 package machine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"fase/internal/activity"
 	"fase/internal/emsim"
 	"fase/internal/microbench"
+	"fase/internal/sig"
 )
 
 // noWanderScene exercises the segmented render paths randomScene cannot:
@@ -69,20 +71,99 @@ func TestSegmentedRenderEquivalence(t *testing.T) {
 			}, 0.5+float64(n)/band.SampleRate),
 		}
 		for ti, trace := range traces {
-			capt := emsim.Capture{
+			segmentedMatchesPerSample(t, scene, emsim.Capture{
 				Band: band, N: n,
 				Start:     r.Float64() * 0.2,
 				Seed:      r.Int63(),
 				Activity:  trace,
 				NearField: r.Intn(4) == 0, NearFieldGainDB: 30,
-			}
-			want := make([]complex128, n)
-			ref := capt
-			ref.NoSegment = true
-			scene.RenderInto(want, ref)
-			got := make([]complex128, n)
-			scene.RenderInto(got, capt)
-			bitsEqual(t, "segmented render", trial*100+ti, got, want)
+			}, trial*100+ti)
 		}
 	}
+	// Survey sample rates: the campaigns' 6.55 and 65.5 MS/s segments,
+	// where the regulators' control loop needs about 600 and 5900
+	// samples to settle but an alternation half-period lasts about 75
+	// and 756, so the segmented render's head (the fused duty/amplitude/
+	// wander pass) runs on every sample.
+	for trial, fs := range []float64{6.5536e6, 65.536e6, 6.5536e6, 65.536e6} {
+		n := 4096 << (trial / 2) // 4096, 8192: several half-periods
+		band := emsim.Band{Center: 1.5 * fs, SampleRate: fs}
+		scene := surveyRateScene(t, r, band)
+		trace := microbench.Generate(microbench.Config{
+			X: activity.LDM, Y: activity.LDL1,
+			FAlt:   43.3e3 + r.Float64()*20e3,
+			Jitter: microbench.DefaultJitter(), Seed: r.Int63(),
+		}, 0.5+float64(n)/fs)
+		segmentedMatchesPerSample(t, scene, emsim.Capture{
+			Band: band, N: n,
+			Start:    r.Float64() * 0.2,
+			Seed:     r.Int63(),
+			Activity: trace,
+		}, 1000+trial)
+	}
+}
+
+// segmentedMatchesPerSample renders capt through the default segmented
+// paths and through the per-sample reference (NoSegment) and requires
+// the two to agree bit for bit.
+func segmentedMatchesPerSample(t *testing.T, scene *emsim.Scene, capt emsim.Capture, trial int) {
+	t.Helper()
+	want := make([]complex128, capt.N)
+	ref := capt
+	ref.NoSegment = true
+	scene.RenderInto(want, ref)
+	got := make([]complex128, capt.N)
+	scene.RenderInto(got, capt)
+	bitsEqual(t, "segmented render", trial, got, want)
+}
+
+// surveyRateScene builds, for a band at a survey sample rate, two
+// load-following regulators whose combs reach the band only at high
+// harmonic orders — the lowest in-band harmonic is at least 8, so the
+// duty and wander power chains open with an Ipow gap — one with OU
+// wander and one wander-free with an amplitude swing, plus a
+// spread-spectrum clock swept across the band.
+func surveyRateScene(t *testing.T, r *rand.Rand, band emsim.Band) *emsim.Scene {
+	t.Helper()
+	lo, hi := band.Center-band.SampleRate/2, band.Center+band.SampleRate/2
+	reg := func(label string, wander, ampSwing float64) *SwitchingRegulator {
+		fsw := 250e3 + r.Float64()*200e3
+		g := &SwitchingRegulator{
+			Label:          label,
+			FSw:            fsw,
+			BaseDuty:       0.08 + r.Float64()*0.1,
+			DutySwing:      0.03 + r.Float64()*0.05,
+			AmpSwing:       ampSwing,
+			FundamentalDBm: -105,
+			// Lines up to 30% into the band: a few dozen harmonics.
+			MaxHarmonics: int((lo + 0.3*(hi-lo)) / fsw),
+			WanderSigma:  wander,
+			WanderTau:    1e-3,
+			LoopBw:       65e3 + r.Float64()*25e3,
+			Dom:          activity.DomainDRAM,
+		}
+		lines := g.Carriers(lo, hi)
+		if len(lines) == 0 || math.Round(lines[0]/fsw) < 8 {
+			t.Fatalf("%s: in-band lines %v at %g Hz spacing, want the lowest at harmonic >= 8", label, lines, fsw)
+		}
+		return g
+	}
+	scene := &emsim.Scene{}
+	scene.Add(
+		reg("wandering reg", 300+r.Float64()*200, r.Float64()*0.3),
+		reg("quiet reg", 0, 0.05+r.Float64()*0.3),
+		&SSCClock{
+			Label:          "spread clock",
+			F0:             band.Center,
+			SpreadHz:       0.5e6 + r.Float64()*0.5e6,
+			RateHz:         32e3,
+			Profile:        sig.TriangleSweep{},
+			FundamentalDBm: -110,
+			IdleFrac:       0.4,
+			MaxHarmonics:   1,
+			Dom:            activity.DomainDRAM,
+		},
+		&emsim.Background{FloorDBmPerHz: -172},
+	)
+	return scene
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 )
 
 // ManifestSchema identifies the manifest layout; bump it when the JSON
@@ -221,13 +222,45 @@ type HarmonicScore struct {
 	Elevated int     `json:"elevated"`
 }
 
-// WriteFile writes the manifest as indented JSON.
+// WriteFile writes the manifest as indented JSON. The bytes go to a
+// temporary file in path's directory that is then renamed over path, so
+// a reader — or a second writer racing to the same run-store address —
+// finds either the previous file or the new one whole, never a torn mix,
+// and a crash mid-write leaves at worst a stray temporary. Temporaries
+// are named ".<name>.tmp-<random>", which never matches "*.json", so
+// store listings skip them. There is no fsync: the guarantee covers
+// crashes of the writing process and concurrent writers, not power loss.
+// A path naming an existing non-regular file (a pipe or a device such as
+// /dev/stdout) cannot be renamed over and is written in place.
 func (m *Manifest) WriteFile(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("obs: marshal manifest: %w", err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	data = append(data, '\n')
+	if st, err := os.Stat(path); err == nil && !st.Mode().IsRegular() {
+		return os.WriteFile(path, data, 0o644)
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("obs: write manifest: %w", err)
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("obs: write manifest: %w", err)
+	}
+	return nil
 }
 
 // ReadManifest parses a manifest from JSON without validating it; use

@@ -151,11 +151,16 @@ func Compare(a, b *obs.Manifest, aID, bID string) *Diff {
 }
 
 // configTolerance derives the detection-matching radius from a manifest's
-// resolved config (merge_bins × fres_hz), falling back to 1 kHz.
+// resolved config (merge_bins × fres_hz), falling back to 1 kHz. An
+// archived config wraps the campaign's under "scan" with the scene
+// parameters; a manifest written directly holds it bare.
 func configTolerance(m *obs.Manifest) float64 {
 	cfg, ok := m.Config.(map[string]any)
 	if !ok {
 		return 1e3
+	}
+	if scan, wrapped := cfg["scan"].(map[string]any); wrapped {
+		cfg = scan
 	}
 	fres, okF := cfg["fres_hz"].(float64)
 	merge, okM := cfg["merge_bins"].(float64)

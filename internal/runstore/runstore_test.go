@@ -252,6 +252,18 @@ func TestCompareNoAdaptive(t *testing.T) {
 	}
 }
 
+// TestCompareWrappedConfigTolerance: archived manifests wrap the campaign
+// config with the scene parameters; the matching radius still comes from
+// the campaign's fres_hz × merge_bins.
+func TestCompareWrappedConfigTolerance(t *testing.T) {
+	wrapped := map[string]any{"system": "i7-desktop", "environment": true,
+		"scan": map[string]any{"fres_hz": 200.0, "merge_bins": 5.0}}
+	d := Compare(storeManifest(1, wrapped), storeManifest(2, wrapped), "a", "b")
+	if d.Detections.ToleranceHz != 1000 {
+		t.Errorf("tolerance %.0f, want 1000 (200 Hz × 5 bins)", d.Detections.ToleranceHz)
+	}
+}
+
 func TestArchivedManifestsValidate(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -80,7 +80,7 @@ func TestServiceEndToEndBitIdentical(t *testing.T) {
 	// Identity: the service's result id must equal the content hash of
 	// the direct run's resolved config under the same (system,
 	// environment) wrapper.
-	wantID, err := runstore.ConfigID(resultConfig{
+	wantID, err := runstore.ConfigID(core.ResultConfig{
 		System: req.System, Environment: req.Environment, Scan: m.Config})
 	if err != nil {
 		t.Fatal(err)

@@ -158,18 +158,6 @@ func parseScanRequest(body io.Reader) (*ScanRequest, core.Campaign, error) {
 	return &req, c, nil
 }
 
-// resultConfig is the content-addressed identity of a service result:
-// the scene parameters plus the defaults-resolved campaign config (the
-// same record a direct core run stores in its manifest). runstore hashes
-// its canonical JSON, so a submission's result id can be computed before
-// running it, and resubmitting an identical (config, seed) resolves to
-// the same archive entry.
-type resultConfig struct {
-	System      string `json:"system"`
-	Environment bool   `json:"environment"`
-	Scan        any    `json:"scan"`
-}
-
 // httpError is an admission failure with its HTTP status.
 type httpError struct {
 	status int

@@ -219,12 +219,11 @@ func (s *Server) Submit(req *ScanRequest, c core.Campaign) (*Job, *httpError) {
 	if herr := s.price(c); herr != nil {
 		return nil, herr
 	}
-	rc, err := c.ResolvedConfig()
+	key, err := c.ResultConfig(req.System, req.Environment)
 	if err != nil {
 		return nil, errBadRequest("%v", err)
 	}
-	resultID, err := runstore.ConfigID(resultConfig{
-		System: req.System, Environment: req.Environment, Scan: rc})
+	resultID, err := runstore.ConfigID(key)
 	if err != nil {
 		return nil, &httpError{status: http.StatusInternalServerError, msg: err.Error()}
 	}
@@ -407,7 +406,7 @@ func (s *Server) runJob(j *Job) {
 		}
 		// Rewrap the manifest config with the scene parameters so the
 		// archive entry lands at the job's content address (ResultID).
-		m.Config = resultConfig{System: j.system, Environment: j.envOn, Scan: m.Config}
+		m.Config = core.ResultConfig{System: j.system, Environment: j.envOn, Scan: m.Config}
 		if _, aerr := s.store.Add(m); aerr != nil {
 			s.terminate(j, StateFailed, aerr.Error())
 			return

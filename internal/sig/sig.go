@@ -158,24 +158,30 @@ func PowChain(dst []complex128, ns []int, w complex128) {
 	cur := complex(1, 0)
 	m := 0
 	for j, n := range ns {
-		d := n - m
-		if d < 8 {
-			for ; d > 0; d-- {
-				cur *= w
-			}
-		} else {
-			cur *= Ipow(w, d)
-		}
+		cur = PowStep(cur, w, n-m)
 		m = n
 		dst[j] = cur
 	}
 }
 
-// Ipow computes w^e by binary exponentiation. It is the gap fallback of
-// PowChain, exported so renderers that fuse the power chain into their
-// accumulation loop (avoiding the wpow round trip through memory) produce
-// the exact same sequence of multiplies, and therefore the exact same
-// bits, as a PowChain pass followed by a separate loop.
+// PowStep advances a power-chain accumulator by d ≥ 0 steps: cur·w^d,
+// by d repeated multiplies for a small gap and by Ipow for a large one.
+// It is PowChain's step, exported so renderers that fuse one or more
+// power chains into their accumulation loop (avoiding the round trip
+// through a powers array) run the exact same multiplies, and therefore
+// produce the exact same bits, as a PowChain pass followed by a separate
+// loop.
+func PowStep(cur, w complex128, d int) complex128 {
+	if d < 8 {
+		for ; d > 0; d-- {
+			cur *= w
+		}
+		return cur
+	}
+	return cur * Ipow(w, d)
+}
+
+// Ipow computes w^e by binary exponentiation: PowStep's gap fallback.
 func Ipow(w complex128, e int) complex128 {
 	r := complex(1, 0)
 	for e > 0 {
