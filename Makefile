@@ -49,8 +49,10 @@ race:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
-# equivalence runs the planned-vs-unplanned bit-identity property tests
-# under the race detector (they exercise the parallel sweep path too).
+# equivalence runs the bit-identity property tests under the race
+# detector: planned vs unplanned, cached vs live and segmented vs
+# per-sample rendering, and the campaign executors (goroutines, serial,
+# the service's worker fleet). They exercise the parallel sweep path too.
 equivalence:
 	$(GO) test -run Equivalence -race ./...
 

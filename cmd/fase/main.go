@@ -66,7 +66,6 @@ func run() int {
 	fdelta := flag.Float64("fdelta", 0.5e3, "alternation frequency step, Hz")
 	seed := flag.Int64("seed", 1, "random seed")
 	env := flag.Bool("environment", true, "include the metropolitan RF environment")
-	noSegment := flag.Bool("no-segment", false, "disable run-length segmentation in load-following renderers (bit-identical results, slower)")
 	adaptive := flag.Bool("adaptive", false, "use the budgeted coarse-to-fine scan planner (requires -budget)")
 	budget := flag.Int("budget", 0, "capture budget for -adaptive (total analyzer captures the scan may spend)")
 	reconFres := flag.Float64("recon-fres", 0, "recon-pass resolution bandwidth for -adaptive, Hz (0 = 8×fres)")
@@ -163,7 +162,6 @@ func run() int {
 		F1: *f1, F2: *f2, Fres: *fres,
 		FAlt1: *falt, FDelta: *fdelta,
 		X: x, Y: y, Seed: *seed,
-		NoSegment: *noSegment,
 	}
 	if *adaptive || *budget != 0 {
 		campaign.Budget = *budget

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"fase/internal/activity"
 	"fase/internal/core"
 	"fase/internal/machine"
 	"fase/internal/obs"
@@ -35,15 +36,16 @@ func archiveScan(t *testing.T, dir, system string, c core.Campaign) runstore.Ent
 // TestArchiveRunIDsNameTheScene: the run-store id of a CLI run covers the
 // scene, so the same campaign on two systems lands at two addresses, and
 // a CLI-archived run sits at the address the campaign service assigns the
-// same work (the service then answers the submission from the archive).
+// same work (the service then answers the submission from the archive):
+// execution knobs such as Parallelism are not part of the identity.
 func TestArchiveRunIDsNameTheScene(t *testing.T) {
 	dir := t.TempDir()
 	req := &service.ScanRequest{Tenant: "t", System: "i7-desktop", Environment: true,
 		Scan: service.ScanSpec{F1: 300e3, F2: 360e3, Fres: 500, FAlt1: 43.3e3, FDelta: 500, Seed: 1}}
-	c, err := req.Campaign()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The campaign cmd/fase builds for `-f1 300e3 -f2 360e3 -fres 500
+	// -fdelta 500 -seed 1`, Parallelism left at 0.
+	c := core.Campaign{F1: 300e3, F2: 360e3, Fres: 500, FAlt1: 43.3e3, FDelta: 500,
+		X: activity.LDM, Y: activity.LDL1, Seed: 1}
 	i7 := archiveScan(t, dir, "i7-desktop", c)
 	turion := archiveScan(t, dir, "turion-laptop", c)
 	if i7.ID == turion.ID {
@@ -62,7 +64,11 @@ func TestArchiveRunIDsNameTheScene(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	j, herr := s.Submit(req, c)
+	sc, err := req.Campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, herr := s.Submit(req, sc)
 	if herr != nil {
 		t.Fatal(herr)
 	}

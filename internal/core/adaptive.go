@@ -1,15 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"fase/internal/dsp/bufpool"
 	"fase/internal/dsp/peaks"
 	"fase/internal/dsp/spectral"
-	"fase/internal/microbench"
 	"fase/internal/obs"
 	"fase/internal/specan"
 )
@@ -232,9 +231,9 @@ type windowOutcome struct {
 // otherwise refines. The probe and refine callbacks do the sweeping and
 // scoring; the scheduler itself is pure admission control, which is
 // what the planner fuzz harness exercises with fake callbacks. A nil
-// meter is an unlimited budget. Outcomes are returned in processing
-// (priority-descending) order.
-func scheduleRefinement(windows []refineWindow, meter *specan.Meter, threshold float64,
+// meter is an unlimited budget. No window is started once ctx is done.
+// Outcomes are returned in processing (priority-descending) order.
+func scheduleRefinement(ctx context.Context, windows []refineWindow, meter *specan.Meter, threshold float64,
 	probe func(refineWindow) float64, refine func(refineWindow, float64) int) []windowOutcome {
 	ws := append([]refineWindow(nil), windows...)
 	sort.SliceStable(ws, func(a, b int) bool {
@@ -245,6 +244,9 @@ func scheduleRefinement(windows []refineWindow, meter *specan.Meter, threshold f
 	})
 	out := make([]windowOutcome, 0, len(ws))
 	for _, w := range ws {
+		if ctx.Err() != nil {
+			break
+		}
 		o := windowOutcome{window: w}
 		if !meter.Reserve(w.probeCost) {
 			o.outcome = obs.WindowSkipped
@@ -265,42 +267,6 @@ func scheduleRefinement(windows []refineWindow, meter *specan.Meter, threshold f
 		}
 		out = append(out, o)
 	}
-	return out
-}
-
-// sweepBand runs one sweep per ladder index in idx over [f1, f2] on an,
-// returning spectra ordered like idx. Trace and fault-drift seeds use
-// the global ladder index, so a refinement sweep at falts[i] sees the
-// same alternation realization the exhaustive campaign's sweep i would.
-func (r *Runner) sweepBand(an *specan.Analyzer, c Campaign, f1, f2 float64, falts []float64, idx []int, span obs.Span) []*spectral.Spectrum {
-	out := make([]*spectral.Spectrum, len(idx))
-	var wg sync.WaitGroup
-	for j, i := range idx {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			fa := falts[i]
-			faGen := fa * (1 + c.Faults.DriftFor(c.Seed+int64(i)*104729))
-			tr := microbench.Generate(microbench.Config{
-				X: c.X, Y: c.Y, FAlt: faGen, Jitter: *c.Jitter,
-				Seed: c.Seed + int64(i)*104729,
-			}, an.TotalDuration(f1, f2)+0.05)
-			// Track 1+i is the global ladder index's event stream; the
-			// planner processes windows sequentially, so each track sees its
-			// sweeps in a deterministic order even though the sweeps of one
-			// band run concurrently.
-			jt := r.Obs.Track(1 + int64(i))
-			jt.Emit(obs.Event{Kind: obs.EventSweepPlan, FAltHz: fa, F1Hz: f1, F2Hz: f2})
-			out[j] = an.Sweep(specan.Request{
-				Scene: r.Scene, F1: f1, F2: f2, Activity: tr,
-				Seed:      c.Seed,
-				NearField: r.NearField, NearFieldGainDB: r.NearFieldGainDB,
-				Span:   span,
-				Events: jt,
-			})
-		}(j, i)
-	}
-	wg.Wait()
 	return out
 }
 
@@ -459,8 +425,11 @@ func reconCandidates(scores map[int][]float64, elevated map[int][]int, hs []int,
 // AdaptivePlan for the algorithm. The Result mirrors the exhaustive
 // shape with the recon pass as its Measurements/Scores (full-band
 // context at coarse resolution); detections come from the refined
-// full-resolution windows, with bins mapped onto the recon grid.
-func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
+// full-resolution windows, with bins mapped onto the recon grid. The
+// recon pass, every window probe and every refinement are batches on
+// exec; once ctx is done, no batch result is scored and runAdaptive
+// returns ctx.Err().
+func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Result, error) {
 	ap := *c.Adaptive
 	campaignsTotal.Inc()
 	adaptiveCampaignsTotal.Inc()
@@ -491,16 +460,28 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		}
 	}
 
-	anCfg := func(fres float64, avg int, m *specan.Meter) specan.Config {
-		return specan.Config{Fres: fres, Averages: avg, Parallelism: c.Parallelism,
-			MaxFFT: c.MaxFFT, NoPlan: c.NoPlan, ReuseStatic: !c.noReuse,
-			NoSegment: c.NoSegment, Faults: c.Faults, Meter: m, Obs: run}
+	metered := func(fres float64, avg int) *specan.Analyzer {
+		cfg := c.analyzerConfig(fres, avg, run)
+		cfg.Meter = meter
+		return specan.New(cfg)
 	}
 	// Price the equivalent exhaustive campaign (same geometry, no meter)
 	// for the manifest's savings ratio.
-	exhaustive := int64(len(falts)) * specan.New(anCfg(c.Fres, c.Averages, nil)).SweepCaptures(c.F1, c.F2)
-	reconAn := specan.New(anCfg(ap.ReconFres, ap.ReconAverages, meter))
-	refineAn := specan.New(anCfg(c.Fres, ap.RefineAverages, meter))
+	exhaustive := int64(len(falts)) * specan.New(c.analyzerConfig(c.Fres, c.Averages, run)).SweepCaptures(c.F1, c.F2)
+	reconAn := metered(ap.ReconFres, ap.ReconAverages)
+	refineAn := metered(c.Fres, ap.RefineAverages)
+	// batch runs one batch of sweeps on exec: [f1, f2] once per ladder
+	// index in idx, spectra ordered like idx. The planner processes
+	// batches one at a time, so each journal track sees its sweeps in a
+	// deterministic order even though one batch's sweeps run
+	// concurrently.
+	batch := func(an *specan.Analyzer, f1, f2 float64, idx []int, span obs.Span) []*spectral.Spectrum {
+		out := make([]*spectral.Spectrum, len(idx))
+		exec(ctx, an, len(idx), func(an *specan.Analyzer, j int) {
+			out[j] = r.sweepAt(ctx, an, c, falts, idx[j], f1, f2, run, span)
+		})
+		return out
+	}
 
 	reconIdx := spreadIndices(ap.ReconAlts, c.NumAlts)
 	reconFAlts := make([]float64, len(reconIdx))
@@ -520,7 +501,13 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		camp.End()
 		return nil, fmt.Errorf("core: adaptive Budget %d cannot fund the %d-capture recon pass", c.Budget, reconCost)
 	}
-	reconSpectra := r.sweepBand(reconAn, c, c.F1, c.F2, falts, reconIdx, reconSpan)
+	reconSpectra := batch(reconAn, c.F1, c.F2, reconIdx, reconSpan)
+	if err := ctx.Err(); err != nil {
+		reconSpan.End()
+		endRecon()
+		camp.End()
+		return nil, err
+	}
 	res.Measurements = make([]Measurement, len(reconSpectra))
 	for j, sp := range reconSpectra {
 		res.Measurements[j] = Measurement{FAlt: reconFAlts[j], Spectrum: sp}
@@ -554,7 +541,10 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 	probeStash := make([][]*spectral.Spectrum, len(windows))
 	windowDets := make([][]Detection, len(windows))
 	probe := func(w refineWindow) float64 {
-		sp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, reconIdx, refineSpan)
+		sp := batch(refineAn, w.f1, w.f2, reconIdx, refineSpan)
+		if ctx.Err() != nil {
+			return 0
+		}
 		probeStash[w.idx] = sp
 		sm := smoothPooled(sp, c.SmoothBins)
 		best := 0.0
@@ -572,7 +562,10 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		return best
 	}
 	refine := func(w refineWindow, _ float64) int {
-		comp := r.sweepBand(refineAn, c, w.f1, w.f2, falts, compIdx, refineSpan)
+		comp := batch(refineAn, w.f1, w.f2, compIdx, refineSpan)
+		if ctx.Err() != nil {
+			return 0
+		}
 		spectra := make([]*spectral.Spectrum, c.NumAlts)
 		for j, i := range reconIdx {
 			spectra[i] = probeStash[w.idx][j]
@@ -592,9 +585,13 @@ func (r *Runner) runAdaptive(c Campaign) (*Result, error) {
 		windowDets[w.idx] = dets
 		return len(dets)
 	}
-	outcomes := scheduleRefinement(windows, meter, ap.abandonThreshold(c), probe, refine)
+	outcomes := scheduleRefinement(ctx, windows, meter, ap.abandonThreshold(c), probe, refine)
 	refineSpan.End()
 	endRefine()
+	if err := ctx.Err(); err != nil {
+		camp.End()
+		return nil, err
+	}
 	refineUsed := meter.Used() - reconUsed
 
 	// Detect: merge the windows' detections globally — dedupe across

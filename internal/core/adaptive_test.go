@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -422,7 +423,7 @@ func FuzzAdaptivePlan(f *testing.F) {
 			}
 		}
 		probes, refines := 0, 0
-		outcomes := scheduleRefinement(windows, meter, threshold,
+		outcomes := scheduleRefinement(context.Background(), windows, meter, threshold,
 			func(w refineWindow) float64 { probes++; return score + float64(w.idx%2) },
 			func(w refineWindow, _ float64) int { refines++; return 1 })
 		if len(outcomes) != len(windows) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -63,19 +64,11 @@ type Campaign struct {
 	// Seed drives all randomness in the campaign.
 	Seed int64
 	// Parallelism bounds how many captures render concurrently across the
-	// campaign's NumAlts simultaneous sweeps (they share one analyzer).
-	// Zero means runtime.GOMAXPROCS(0). Results are bit-identical for any
-	// setting — see specan.Config.Parallelism.
+	// campaign's simultaneous sweeps when they run on the phase analyzer
+	// itself (the Goroutines executor). Zero means runtime.GOMAXPROCS(0).
+	// Results are bit-identical for any setting — see
+	// specan.Config.Parallelism — so it is not part of the run's identity.
 	Parallelism int
-	// NoPlan disables per-segment render planning in the campaign's
-	// analyzer (see specan.Config.NoPlan). Planned and unplanned rendering
-	// are bit-identical; this is a debugging escape hatch.
-	NoPlan bool
-	// NoSegment disables run-length segmentation in load-following
-	// renderers (specan.Config.NoSegment): captures then walk the activity
-	// trace sample by sample. Segmented and per-sample rendering are
-	// bit-identical; like NoPlan, this is a debugging escape hatch.
-	NoSegment bool
 	// Faults, when non-nil, deterministically degrades the measurement
 	// chain (see emsim.FaultPlan): per-capture faults are applied by the
 	// campaign's analyzer, and FAltDriftPPM perturbs each sweep's
@@ -120,7 +113,7 @@ const MinScoreZero = -1
 // Validate reports the first configuration error in the campaign:
 // inverted or empty frequency ranges, non-positive resolution, a
 // malformed alternation ladder, or a negative threshold that is not the
-// MinScoreZero sentinel. Runner.RunE calls it before doing any work, so
+// MinScoreZero sentinel. Runner.Execute calls it before doing any work, so
 // misconfiguration surfaces as a returned error instead of a panic deep
 // in the sweep or a silently empty result.
 func (c Campaign) Validate() error {
@@ -332,7 +325,7 @@ type Runner struct {
 	// Obs, when non-nil, instruments the campaign: stage wall/CPU
 	// timings, per-capture render/FFT time, planner and cache
 	// statistics, and detection provenance, all folded into a run
-	// manifest by RunE (via obs.Run.Finish). Attach an obs.Tracer to
+	// manifest by Execute (via obs.Run.Finish). Attach an obs.Tracer to
 	// also record campaign → sweep → capture spans. Instrumentation
 	// never changes results (enforced by the equivalence tests).
 	Obs *obs.Run
@@ -351,12 +344,46 @@ func (r *Runner) Run(c Campaign) *Result {
 }
 
 // RunE is Run with configuration errors returned instead of panicking:
-// the campaign is checked with Validate (and the Runner for a Scene)
-// before any work starts. When Runner.Obs is set, the four pipeline
-// stages — sweeps, smooth, score, detect — are timed and traced, and the
-// run's manifest is finalized with the resolved configuration and per-
-// detection provenance before returning.
+// Execute on the Goroutines executor with a context that is never
+// cancelled.
 func (r *Runner) RunE(c Campaign) (*Result, error) {
+	return r.Execute(context.Background(), c, Goroutines)
+}
+
+// Exec runs one batch of sweeps: sweep(an', i) for every i in [0, n),
+// where an' is an itself or a view of it (specan.Analyzer.Serial). It
+// starts no sweep once ctx is done and returns when every sweep it
+// started has returned. Placement is the executor's only freedom: every
+// sweep writes its own result slot and journal track, so any executor
+// gives bit-identical output.
+type Exec func(ctx context.Context, an *specan.Analyzer, n int, sweep func(an *specan.Analyzer, i int))
+
+// Goroutines is the in-process executor: each sweep of a batch runs on
+// its own goroutine against the phase analyzer itself, whose Parallelism
+// bounds the captures rendering at once.
+func Goroutines(ctx context.Context, an *specan.Analyzer, n int, sweep func(an *specan.Analyzer, i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sweep(an, i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// Execute runs the campaign, exhaustive or adaptive, with every sweep
+// placed by exec. The campaign is checked with Validate (and the Runner
+// for a Scene) before any work starts. Core builds one analyzer per phase
+// — the ladder, or the adaptive recon and refine passes — and hands exec
+// batches of sweeps on it, so the phase's plan and static caches persist
+// across batches whichever executor runs them. ctx cancels mid-sweep:
+// after each batch, if ctx is done, Execute returns ctx.Err() before
+// scoring anything. When Runner.Obs is set, the pipeline stages are timed
+// and traced, and the run's manifest is finalized with the resolved
+// configuration and per-detection provenance before returning.
+func (r *Runner) Execute(ctx context.Context, c Campaign, exec Exec) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -365,13 +392,10 @@ func (r *Runner) RunE(c Campaign) (*Result, error) {
 	}
 	c = c.withDefaults()
 	if c.Adaptive != nil {
-		return r.runAdaptive(c)
+		return r.runAdaptive(ctx, c, exec)
 	}
-	// The exhaustive path runs through the shard API (shard.go): the
-	// ladder decomposes into per-sweep shards that render concurrently on
-	// one shared analyzer here, and on a distributed worker fleet in
-	// internal/service — the two paths execute the same code, so they are
-	// bit-identical by construction.
+	// The exhaustive path is the shard API (shard.go): one batch of
+	// ladder-sweep shards, then the fixed-order reduce.
 	p := &ShardPlan{Campaign: c, FAlts: c.FAlts()}
 	run := r.Obs
 	var camp obs.Span
@@ -385,22 +409,20 @@ func (r *Runner) RunE(c Campaign) (*Result, error) {
 	// measurement noise and differ only in their activity trace. Shared
 	// noise cancels in the cross-measurement scoring (common-mode), and it
 	// is what lets the static render cache serve all NumAlts sweeps from
-	// one build. The sweeps run concurrently; results are written by
-	// index, keeping the output identical to a sequential run.
+	// one build. Results are written by index, keeping the output
+	// identical to a sequential run.
 	ms := make([]Measurement, len(p.FAlts))
 	endSweeps := run.Stage("sweeps")
 	sweepsSpan := camp.Child("sweeps")
-	var wg sync.WaitGroup
-	for i := range p.FAlts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ms[i] = r.RenderShard(nil, an, p, i, run, sweepsSpan)
-		}(i)
-	}
-	wg.Wait()
+	exec(ctx, an, len(p.FAlts), func(an *specan.Analyzer, i int) {
+		ms[i] = r.RenderShard(ctx, an, p, i, run, sweepsSpan)
+	})
 	sweepsSpan.End()
 	endSweeps()
+	if err := ctx.Err(); err != nil {
+		camp.End()
+		return nil, err
+	}
 	return r.ReduceShards(p, ms, run, camp)
 }
 
@@ -427,7 +449,9 @@ func emitDetections(run *obs.Run, res *Result, c Campaign) {
 
 // campaignConfig is the resolved campaign configuration as recorded in
 // the run manifest: every defaulted field filled in, activity kinds as
-// their names so the JSON is self-describing.
+// their names so the JSON is self-describing. It holds only what shapes
+// the result — the run store hashes it — so execution knobs such as
+// Parallelism stay out.
 type campaignConfig struct {
 	F1          float64 `json:"f1_hz"`
 	F2          float64 `json:"f2_hz"`
@@ -444,9 +468,6 @@ type campaignConfig struct {
 	X           string  `json:"x"`
 	Y           string  `json:"y"`
 	Seed        int64   `json:"seed"`
-	Parallelism int     `json:"parallelism"`
-	NoPlan      bool    `json:"no_plan"`
-	NoSegment   bool    `json:"no_segment"`
 	// FaultsInjected flags runs whose measurement chain was degraded by a
 	// fault plan; their timings and detections are not comparable to
 	// clean runs.
@@ -470,8 +491,7 @@ func manifestConfig(c Campaign) campaignConfig {
 		MinScore: c.MinScore, SmoothBins: c.SmoothBins,
 		MergeBins: c.MergeBins, MinElevated: c.MinElevated,
 		X: c.X.String(), Y: c.Y.String(),
-		Seed: c.Seed, Parallelism: c.Parallelism, NoPlan: c.NoPlan,
-		NoSegment:      c.NoSegment,
+		Seed:           c.Seed,
 		FaultsInjected: c.Faults != nil,
 		MaxFFT:         c.MaxFFT,
 		Adaptive:       c.Adaptive != nil,

@@ -541,6 +541,52 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestManifestListsEachSegmentOnce: a parallel campaign's concurrent
+// first uses of a segment plan must build and record that segment once,
+// so the manifest's segment list and planner counts — plan_skip_ratio
+// among them — are the same on every run. Each run is a fresh scene, so every plan is
+// built anew under contention.
+func TestManifestListsEachSegmentOnce(t *testing.T) {
+	sys := machine.IntelCoreI7Desktop()
+	c := Campaign{F1: 0.25e6, F2: 0.55e6, Fres: 200, MaxFFT: 256,
+		FAlt1: 43.3e3, FDelta: 1e3, X: activity.LDM, Y: activity.LDL1,
+		Seed: 21, Parallelism: 8}
+	for rep := 0; rep < 8; rep++ {
+		run := obs.NewRun()
+		if _, err := (&Runner{Scene: sys.Scene(21, true), Obs: run}).RunE(c); err != nil {
+			t.Fatal(err)
+		}
+		pl := run.Manifest().Planner
+		type geom struct {
+			center, fs float64
+			n          int
+		}
+		seen := make(map[geom]bool)
+		var active, skipped int64
+		for _, sg := range pl.Segments {
+			g := geom{sg.CenterHz, sg.SampleRate, sg.Samples}
+			if seen[g] {
+				t.Fatalf("run %d: segment %+v listed twice among %d", rep, g, len(pl.Segments))
+			}
+			seen[g] = true
+			active += int64(sg.Active)
+			skipped += int64(sg.Skipped)
+		}
+		// The component counts behind plan_skip_ratio are exactly the
+		// listed segments' — no plan was built twice.
+		if pl.ComponentsActive != active || pl.ComponentsSkipped != skipped {
+			t.Fatalf("run %d: planner counted %d active / %d skipped components, segments hold %d / %d",
+				rep, pl.ComponentsActive, pl.ComponentsSkipped, active, skipped)
+		}
+		if len(seen) != 8 {
+			t.Fatalf("run %d: %d segments planned, want 8", rep, len(seen))
+		}
+		if pl.CacheMisses != 8 {
+			t.Fatalf("run %d: %d plan-cache misses, want one per segment (8)", rep, pl.CacheMisses)
+		}
+	}
+}
+
 func TestCampaignParallelismInvariant(t *testing.T) {
 	// A campaign's output must not depend on the Parallelism knob: every
 	// measurement spectrum and every detection must match a Parallelism-1

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"fase/internal/dsp/bufpool"
 	"fase/internal/dsp/spectral"
 	"fase/internal/microbench"
 	"fase/internal/obs"
@@ -17,12 +16,13 @@ import (
 // campaign seed and its ladder index alone, so shards can render on any
 // worker — in any interleaving, on any analyzer — and reducing them in
 // fixed ladder order reproduces the single-process result byte for byte.
-// Runner.RunE and the campaign service (internal/service) both execute
-// through this API, which is what makes the service's sharded path
-// bit-identical to the serial one by construction rather than by test.
+// Runner.Execute runs every exhaustive campaign through this API, on
+// whichever executor the caller passes — goroutines in the CLI, the worker
+// fleet in internal/service — so the paths are bit-identical by
+// construction rather than by test.
 type ShardPlan struct {
 	// Campaign is the defaults-resolved configuration (withDefaults
-	// applied); manifestConfig over it matches what RunE would record.
+	// applied); manifestConfig over it matches what Execute records.
 	Campaign Campaign
 	// FAlts is the alternation-frequency ladder; shard i renders FAlts[i].
 	FAlts []float64
@@ -35,7 +35,7 @@ type ShardPlan struct {
 // PlanShards validates the campaign and decomposes it into ladder-sweep
 // shards. Adaptive campaigns are rejected: their capture schedule is
 // decided at run time by the budget planner, so they have no static shard
-// decomposition (the service runs them as a single unsharded task).
+// decomposition (Execute runs them as a sequence of sweep batches).
 func PlanShards(c Campaign) (*ShardPlan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -47,17 +47,20 @@ func PlanShards(c Campaign) (*ShardPlan, error) {
 	return &ShardPlan{Campaign: c, FAlts: c.FAlts()}, nil
 }
 
-// AnalyzerConfig is the specan configuration RunE would build for this
-// campaign. Callers running shards on separate analyzers (one per worker)
-// should override Parallelism to 1 and share a specan.StaticCache via
-// Config.Statics so the fleet, not each analyzer, bounds concurrency
-// while cross-sweep static-layer reuse still works.
+// AnalyzerConfig is the specan configuration Execute builds for this
+// campaign's ladder. Shards should all render on one analyzer built from
+// it — or on Serial views of that analyzer, when a worker fleet rather
+// than the analyzer bounds concurrency — so every sweep shares its plan
+// and static-layer caches.
 func (p *ShardPlan) AnalyzerConfig(run *obs.Run) specan.Config {
-	c := p.Campaign
-	return specan.Config{Fres: c.Fres, Averages: c.Averages, Parallelism: c.Parallelism,
-		MaxFFT: c.MaxFFT,
-		NoPlan: c.NoPlan, ReuseStatic: !c.noReuse, NoSegment: c.NoSegment,
-		Faults: c.Faults, Obs: run}
+	return p.Campaign.analyzerConfig(p.Campaign.Fres, p.Campaign.Averages, run)
+}
+
+// analyzerConfig is the specan configuration of one campaign phase at
+// the given resolution and average count.
+func (c Campaign) analyzerConfig(fres float64, averages int, run *obs.Run) specan.Config {
+	return specan.Config{Fres: fres, Averages: averages, Parallelism: c.Parallelism,
+		MaxFFT: c.MaxFFT, ReuseStatic: !c.noReuse, Faults: c.Faults, Obs: run}
 }
 
 // Begin prices the campaign against an analyzer (any analyzer built from
@@ -76,15 +79,23 @@ func (p *ShardPlan) Begin(an *specan.Analyzer, run *obs.Run) {
 }
 
 // RenderShard renders ladder sweep i on the given analyzer and returns
-// its measurement. The shard's micro-benchmark seed is derived exactly as
-// the serial path derives it — c.Seed + i·104729 — and its journal events
-// land on track 1+i, so the canonical journal is identical however shards
-// are scheduled. ctx, when non-nil, cooperatively cancels the shard
-// mid-render (see specan.Request.Ctx); a cancelled shard's measurement is
-// partial garbage and must be discarded, never reduced.
+// its measurement (see sweepAt for the seeding and journal contract).
+// ctx, when non-nil, cooperatively cancels the shard mid-render (see
+// specan.Request.Ctx); a cancelled shard's measurement is partial garbage
+// and must be discarded, never reduced.
 func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardPlan, i int, run *obs.Run, parent obs.Span) Measurement {
 	c := p.Campaign
-	fa := p.FAlts[i]
+	return Measurement{FAlt: p.FAlts[i], Spectrum: r.sweepAt(ctx, an, c, p.FAlts, i, c.F1, c.F2, run, parent)}
+}
+
+// sweepAt sweeps [f1, f2] on an with the micro-benchmark alternating at
+// ladder entry i. The trace seed is c.Seed + i·104729, from the global
+// ladder index alone, so a ladder shard and an adaptive window sweep at
+// falts[i] see the same alternation realization; its journal events land
+// on track 1+i, which belongs to that ladder index, so the canonical
+// journal is identical at any parallelism and any placement.
+func (r *Runner) sweepAt(ctx context.Context, an *specan.Analyzer, c Campaign, falts []float64, i int, f1, f2 float64, run *obs.Run, parent obs.Span) *spectral.Spectrum {
+	fa := falts[i]
 	// Under fault injection the micro-benchmark's clock may drift: the
 	// generated alternation runs at fa·(1+ε) while scoring still probes
 	// the nominal ladder.
@@ -92,21 +103,17 @@ func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardP
 	tr := microbench.Generate(microbench.Config{
 		X: c.X, Y: c.Y, FAlt: faGen, Jitter: *c.Jitter,
 		Seed: c.Seed + int64(i)*104729,
-	}, an.TotalDuration(c.F1, c.F2)+0.05)
-	// Journal track 1+i belongs to this ladder index: events within it
-	// are sequential, so the canonical journal is identical at any
-	// parallelism and any shard placement.
+	}, an.TotalDuration(f1, f2)+0.05)
 	jt := run.Track(1 + int64(i))
-	jt.Emit(obs.Event{Kind: obs.EventSweepPlan, FAltHz: fa, F1Hz: c.F1, F2Hz: c.F2})
-	sp := an.Sweep(specan.Request{
-		Scene: r.Scene, F1: c.F1, F2: c.F2, Activity: tr,
+	jt.Emit(obs.Event{Kind: obs.EventSweepPlan, FAltHz: fa, F1Hz: f1, F2Hz: f2})
+	return an.Sweep(specan.Request{
+		Scene: r.Scene, F1: f1, F2: f2, Activity: tr,
 		Seed:      c.Seed,
 		NearField: r.NearField, NearFieldGainDB: r.NearFieldGainDB,
 		Span:   parent,
 		Events: jt,
 		Ctx:    ctx,
 	})
-	return Measurement{FAlt: fa, Spectrum: sp}
 }
 
 // ReduceShards merges the campaign's shard measurements — which must be
@@ -124,15 +131,12 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp
 	falts := p.FAlts
 	endSmooth := run.Stage("smooth")
 	smoothSpan := camp.Child("smooth")
-	spectra := make([]*spectral.Spectrum, len(res.Measurements))
-	smoothed := make([]*spectral.Spectrum, len(res.Measurements))
-	for i, m := range res.Measurements {
+	spectra := make([]*spectral.Spectrum, len(ms))
+	for i, m := range ms {
 		spectra[i] = m.Spectrum
-		// Smoothed spectra are scoring scratch, released after detection;
-		// their bin buffers come from the shared pool.
-		smoothed[i] = &spectral.Spectrum{PmW: bufpool.Float(m.Spectrum.Bins())}
-		SmoothSpectrumInto(smoothed[i], m.Spectrum, c.SmoothBins)
 	}
+	// Smoothed spectra are scoring scratch, released after detection.
+	smoothed := smoothPooled(spectra, c.SmoothBins)
 	smoothSpan.End()
 	endSmooth()
 	endScore := run.Stage("score")
@@ -145,10 +149,7 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp
 	res.Detections = detect(res, spectra, smoothed, falts)
 	detectSpan.End()
 	endDetect()
-	for _, sp := range smoothed {
-		bufpool.PutFloat(sp.PmW)
-		sp.PmW = nil
-	}
+	releaseSmoothed(smoothed)
 	detectionsTotal.Add(int64(len(res.Detections)))
 	emitDetections(run, res, c)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignEnd,
@@ -162,7 +163,7 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp
 
 // ResultConfig is the content-addressed identity of a campaign result:
 // the scene parameters plus the defaults-resolved campaign config, which
-// is the record RunE stores as its manifest Config. runstore hashes its
+// is the record Execute stores as its manifest Config. runstore hashes its
 // canonical JSON, so every path that archives runs — the CLI's -runs-dir
 // and the campaign service — gives the same work the same id, and the
 // same campaign on two systems two ids.

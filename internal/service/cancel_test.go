@@ -1,11 +1,17 @@
 package service
 
 import (
+	"bufio"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"fase/internal/emsim"
+	"fase/internal/obs"
 )
 
 // TestCancelQueuedNeverStarts covers cancel before dispatch: the job
@@ -152,6 +158,89 @@ func TestCancelRunningDiscardsPartialWork(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("store holds %d manifests, want exactly 1", n)
+	}
+}
+
+// sleeper is a scene component that holds every capture rendering it for
+// a fixed time and counts its renders. It contributes nothing to the
+// spectrum.
+type sleeper struct {
+	d       time.Duration
+	renders atomic.Int64
+}
+
+func (sl *sleeper) Name() string { return "testsleeper" }
+
+func (sl *sleeper) Render(dst []complex128, ctx *emsim.Context) {
+	sl.renders.Add(1)
+	time.Sleep(sl.d)
+}
+
+// TestCancelRunningAdaptiveFreesWorker: cancelling a running adaptive job
+// frees its worker within one capture. The scan's captures each take
+// 40 ms on the fleet's single worker; the job is cancelled once its first
+// sweep reports progress, and a second job must then run to completion
+// while the cancelled scan renders at most the one capture that was in
+// flight — the scan still had a whole recon sweep ahead of it. Adaptive
+// jobs count no shards.
+func TestCancelRunningAdaptiveFreesWorker(t *testing.T) {
+	const slowSeed = 71
+	sl := &sleeper{d: 40 * time.Millisecond}
+	s := newServer(t, Config{Workers: 1, SceneFor: func(system string, seed int64, env bool) (*emsim.Scene, error) {
+		sc, err := defaultSceneFor(system, seed, env)
+		if err == nil && seed == slowSeed {
+			sc.Add(sl)
+		}
+		return sc, err
+	}})
+	base := listen(t, s)
+
+	// A 1 MHz band at 2 kHz recon resolution in 64-point captures: 11
+	// segments × 2 averages per recon sweep.
+	req := &ScanRequest{Tenant: "delta", System: "i7-desktop", Scan: ScanSpec{
+		F1: 300e3, F2: 1.3e6, Fres: 500, FAlt1: 43.3e3, FDelta: 500,
+		Seed: slowSeed, MaxFFT: 64, Adaptive: true, Budget: 400, ReconFresHz: 2000,
+	}}
+	st, code := httpSubmit(t, base, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit adaptive: %d", code)
+	}
+	for httpStatus(t, base, st.ID).State == StateQueued {
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Get(base + "/v1/scans/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("event stream ended before any sweep progress: %v", err)
+		}
+		if strings.HasPrefix(line, "data: ") && strings.Contains(line, `"kind":"`+obs.EventSweepProgress+`"`) {
+			break
+		}
+	}
+	httpCancel(t, base, st.ID)
+	cancelledAt := sl.renders.Load()
+
+	next, code := httpSubmit(t, base, tinyRequest("delta", 72))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit second job: %d", code)
+	}
+	if fin := waitTerminal(t, base, next.ID); fin.State != StateDone {
+		t.Fatalf("second job finished %s: %s", fin.State, fin.Error)
+	}
+	if extra := sl.renders.Load() - cancelledAt; extra > 1 {
+		t.Errorf("cancelled adaptive scan rendered %d captures after its DELETE, before the next job finished; want at most the 1 in flight", extra)
+	}
+	if fin := waitTerminal(t, base, st.ID); fin.State != StateCancelled {
+		t.Fatalf("adaptive job finished %s, want cancelled", fin.State)
+	}
+	if got := s.Stats().Shards; got != 5 {
+		t.Errorf("shards_total %d, want 5 (the exhaustive job's ladder only)", got)
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package service is the FASE campaign server: a long-running HTTP
 // service that accepts scan submissions, queues them under per-tenant
-// quotas, shards each campaign's ladder sweeps across a bounded worker
-// fleet, and archives results through the content-addressed run store.
+// quotas, spreads each campaign's sweeps across a bounded worker fleet,
+// and archives results through the content-addressed run store.
 //
-// The sharded execution path is bit-identical to a serial
-// core.Campaign.Run of the same (config, seed): both paths execute
-// through core.ShardPlan — each shard derives its child seed from the
-// campaign seed and its ladder index alone, renders on whichever worker
-// picks it up, and the shards reduce in fixed ladder order. The
-// integration tests verify the identity against runstore content hashes.
+// A job runs through core.Runner.Execute with the fleet as its executor,
+// the same path the CLI takes with goroutines, so a served result is
+// bit-identical to a CLI run of the same (config, seed): every sweep
+// derives its seed from the campaign seed and its ladder index alone,
+// renders on whichever worker picks it up, and results reduce in fixed
+// order. The integration tests verify the identity against runstore
+// content hashes.
 package service
 
 import (
@@ -51,8 +52,8 @@ type ScanSpec struct {
 	MaxFFT      int     `json:"max_fft,omitempty"`
 
 	// Adaptive/Budget/ReconFres select the budgeted coarse-to-fine
-	// planner; adaptive jobs run unsharded (their capture schedule is
-	// decided at run time) as a single worker task.
+	// planner; its recon pass, window probes and refinements run as
+	// batches of sweeps on the worker fleet.
 	Adaptive    bool    `json:"adaptive,omitempty"`
 	Budget      int     `json:"budget,omitempty"`
 	ReconFresHz float64 `json:"recon_fres_hz,omitempty"`
@@ -98,9 +99,6 @@ func (r *ScanRequest) Campaign() (core.Campaign, error) {
 		X: x, Y: y,
 		Seed:   sp.Seed,
 		MaxFFT: sp.MaxFFT,
-		// Shard rendering is single-threaded per shard: the worker
-		// fleet, not the analyzer, is the service's concurrency bound.
-		Parallelism: 1,
 	}
 	if sp.Adaptive || sp.Budget != 0 {
 		c.Budget = sp.Budget

@@ -35,8 +35,8 @@ var (
 // Config parameterizes a campaign server. The zero value of every field
 // takes a sensible default (see New).
 type Config struct {
-	// Workers is the shard-rendering fleet size — the service's true
-	// concurrency bound, since every shard renders single-threaded.
+	// Workers is the sweep-rendering fleet size — the service's true
+	// concurrency bound, since every sweep renders single-threaded.
 	// Default: GOMAXPROCS.
 	Workers int
 	// MaxActive bounds how many jobs execute (hold coordinators) at
@@ -367,8 +367,9 @@ func (s *Server) terminate(j *Job, state, errMsg string) {
 	}
 }
 
-// runJob is one job's coordinator: it drives the shard fan-out (or the
-// unsharded adaptive run), reduces, archives, and terminates the job.
+// runJob is one job's coordinator: it executes the campaign with its
+// sweeps on the worker fleet, archives the result, and terminates the
+// job.
 func (s *Server) runJob(j *Job) {
 	defer s.jobWG.Done()
 	defer func() { <-s.active }()
@@ -384,13 +385,8 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.running.Add(1)
 	defer s.running.Add(-1)
-	var res *core.Result
-	var err error
-	if j.campaign.Adaptive != nil {
-		res, err = s.runAdaptiveJob(j, run)
-	} else {
-		res, err = s.runShardedJob(j, run)
-	}
+	runner := &core.Runner{Scene: j.scene, Obs: run}
+	res, err := runner.Execute(j.ctx, j.campaign, s.fleet(j.campaign.Adaptive == nil))
 	switch {
 	case j.ctx.Err() != nil:
 		// Partial work — shards, spectra, any manifest — is discarded
@@ -416,83 +412,39 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// runShardedJob fans an exhaustive campaign's ladder sweeps out to the
-// worker fleet as independent shard tasks and reduces them in fixed
-// ladder order. Each shard gets its own single-threaded analyzer — the
-// fleet is the concurrency bound — while one shared StaticCache keeps
-// the cross-sweep static-layer reuse the serial path enjoys. Bit-
-// identity with the serial path holds because both execute the same
-// core.ShardPlan methods with the same seeds.
-func (s *Server) runShardedJob(j *Job, run *obs.Run) (*core.Result, error) {
-	plan, err := core.PlanShards(j.campaign)
-	if err != nil {
-		return nil, err
-	}
-	runner := &core.Runner{Scene: j.scene, Obs: run}
-	var camp obs.Span
-	if run != nil {
-		camp = run.Tracer.Begin("campaign")
-	}
-	acfg := plan.AnalyzerConfig(run)
-	acfg.Parallelism = 1
-	acfg.Statics = specan.NewStaticCache()
-	plan.Begin(specan.New(acfg), run)
-	ms := make([]core.Measurement, len(plan.FAlts))
-	endSweeps := run.Stage("sweeps")
-	sweepsSpan := camp.Child("sweeps")
-	var wg sync.WaitGroup
-	for i := range plan.FAlts {
-		i := i
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			if j.ctx.Err() != nil {
-				return
+// fleet is the executor that runs a job's sweep batches on the worker
+// fleet: one task per sweep, each on its own Serial view of the phase
+// analyzer, so the fleet, not the analyzer, bounds concurrency while all
+// of a job's sweeps share the analyzer's caches. ladder marks exhaustive
+// jobs, whose only batch is the ladder: each task it starts is one shard
+// in Stats.Shards. Adaptive jobs run batches of window sweeps and count
+// no shards.
+func (s *Server) fleet(ladder bool) core.Exec {
+	return func(ctx context.Context, an *specan.Analyzer, n int, sweep func(*specan.Analyzer, int)) {
+		var wg sync.WaitGroup
+	enqueue:
+		for i := 0; i < n; i++ {
+			task := func() {
+				defer wg.Done()
+				if ctx.Err() != nil {
+					return
+				}
+				if ladder {
+					s.shardsRun.Add(1)
+					svcShardsTotal.Inc()
+				}
+				sweep(an.Serial(), i)
 			}
-			s.shardsRun.Add(1)
-			svcShardsTotal.Inc()
-			ms[i] = runner.RenderShard(j.ctx, specan.New(acfg), plan, i, run, sweepsSpan)
+			wg.Add(1)
+			select {
+			case s.tasks <- task:
+			case <-ctx.Done():
+				wg.Done() // task never enqueued
+				break enqueue
+			}
 		}
-		select {
-		case s.tasks <- task:
-		case <-j.ctx.Done():
-			wg.Done() // task never enqueued
-		}
+		wg.Wait()
 	}
-	wg.Wait()
-	sweepsSpan.End()
-	endSweeps()
-	if j.ctx.Err() != nil {
-		camp.End()
-		return nil, nil
-	}
-	return runner.ReduceShards(plan, ms, run, camp)
-}
-
-// runAdaptiveJob runs an adaptive campaign as a single unsharded task on
-// the fleet: its capture schedule is decided at run time by the budget
-// planner, so there is no static shard decomposition to distribute.
-func (s *Server) runAdaptiveJob(j *Job, run *obs.Run) (*core.Result, error) {
-	runner := &core.Runner{Scene: j.scene, Obs: run}
-	var res *core.Result
-	var err error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	task := func() {
-		defer wg.Done()
-		res, err = runner.RunE(j.campaign)
-	}
-	select {
-	case s.tasks <- task:
-	case <-j.ctx.Done():
-		wg.Done()
-		return nil, nil
-	}
-	wg.Wait()
-	if j.ctx.Err() != nil {
-		return nil, nil
-	}
-	return res, err
 }
 
 // Stats is the /v1/stats snapshot.

@@ -28,6 +28,22 @@ func tinyRequest(tenant string, seed int64) *ScanRequest {
 	}
 }
 
+// adaptiveRequest is the shared adaptive campaign for service tests: a
+// 300 kHz band holding the i7's 315 kHz comb, with a recon pass, window
+// probes and refinements under a 30-capture budget.
+func adaptiveRequest(tenant string, seed int64) *ScanRequest {
+	return &ScanRequest{
+		Tenant: tenant,
+		System: "i7-desktop",
+		Scan: ScanSpec{
+			F1: 250e3, F2: 550e3, Fres: 200,
+			FAlt1: 43.3e3, FDelta: 1e3,
+			Seed: seed, MaxFFT: 2048,
+			Adaptive: true, Budget: 30,
+		},
+	}
+}
+
 func newServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.StoreDir == "" {

@@ -85,7 +85,7 @@ func TestSweepPlanCacheReuse(t *testing.T) {
 	an.Sweep(Request{Scene: scene, F1: 0.2e6, F2: 0.8e6, Seed: 1})
 	var first []*emsim.RenderPlan
 	an.plans.Range(func(_, v any) bool {
-		first = append(first, v.(*emsim.RenderPlan))
+		first = append(first, v.(*planEntry).plan)
 		return true
 	})
 	if len(first) == 0 {

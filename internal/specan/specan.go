@@ -83,8 +83,8 @@ type Config struct {
 	// NoSegment disables run-length segmentation in load-following
 	// renderers: captures then walk the activity trace sample by sample
 	// (see emsim.Context.NoSegment). Segmented and per-sample rendering
-	// are bit-identical by contract — this is a debugging escape hatch,
-	// mirrored by core.Campaign.NoSegment.
+	// are bit-identical by contract — this is the reference the
+	// equivalence tests compare segmentation against.
 	NoSegment bool
 	// Faults, when non-nil, deterministically degrades every rendered
 	// capture before its FFT (see emsim.FaultPlan): dropped/truncated
@@ -99,17 +99,6 @@ type Config struct {
 	// Meter.Reserve before each Sweep call. Nil (the default) keeps the
 	// capture path meter-free.
 	Meter *Meter
-	// Statics, when non-nil (and ReuseStatic is set), is the static-layer
-	// cache this analyzer shares with others. A campaign service that
-	// renders a campaign's ladder sweeps on separate single-threaded
-	// analyzers — one per shard worker — hands all of them one cache, so
-	// cross-sweep static reuse works exactly as it does on a single shared
-	// analyzer. Nil gives the analyzer a private cache. Sharing is only
-	// meaningful between analyzers with identical geometry configuration
-	// (Fres, Averages, MaxFFT, UsableFrac, Window); cache keys carry the
-	// full capture identity, so mismatched sharing is wasteful, never
-	// incorrect.
-	Statics *StaticCache
 	// Obs, when non-nil, attaches run-level observability: per-capture
 	// render/FFT timing, plan-cache statistics, and — when Obs.Tracer is
 	// set — sweep/capture spans. A nil Obs (the default) keeps the hot
@@ -149,6 +138,12 @@ type Analyzer struct {
 	// sem is the capture-level concurrency budget shared by all sweeps on
 	// this analyzer.
 	sem chan struct{}
+	// caches is shared with every Serial view of the analyzer.
+	*caches
+}
+
+// caches is the state an analyzer shares with its Serial views.
+type caches struct {
 	// plans caches render plans per segment geometry (planKey). Segment
 	// geometry is identical across a sweep's averages and across the
 	// NumAlts sweeps of a campaign sharing this analyzer, so each segment's
@@ -156,9 +151,8 @@ type Analyzer struct {
 	// once per capture.
 	plans sync.Map
 	// statics caches built static layers per capture identity (staticKey)
-	// when Config.ReuseStatic is set — either this analyzer's private
-	// cache or one shared through Config.Statics.
-	statics *StaticCache
+	// when Config.ReuseStatic is set.
+	statics staticCache
 	// arena retains capture and bin buffers for the analyzer's lifetime:
 	// the process-wide bufpool can lose its contents to a garbage
 	// collection between sweeps, but a campaign's analyzer re-renders the
@@ -180,28 +174,22 @@ type staticKey struct {
 	nearGainDB float64
 }
 
-// StaticCache is a static-layer render cache, normally private to one
-// analyzer (see Config.ReuseStatic) but shareable between several via
-// Config.Statics. A plain struct-keyed map behind an RWMutex rather than
-// a sync.Map: warm lookups then neither box the key nor allocate, keeping
-// the steady-state sweep allocation-free. Each identity holds a bucket
-// keyed by the capture's conditional-static key (empty for sets with no
-// conditional layer), so sweeps under different window-constant loads
-// cache distinct sets side by side.
-type StaticCache struct {
+// staticCache is an analyzer's static-layer render cache (see
+// Config.ReuseStatic). A plain struct-keyed map behind an RWMutex rather
+// than a sync.Map: warm lookups then neither box the key nor allocate,
+// keeping the steady-state sweep allocation-free. Each identity holds a
+// bucket keyed by the capture's conditional-static key (empty for sets
+// with no conditional layer), so sweeps under different window-constant
+// loads cache distinct sets side by side.
+type staticCache struct {
 	mu sync.RWMutex
 	m  map[staticKey]*staticBucket
 }
 
-// NewStaticCache returns an empty cache for Config.Statics.
-func NewStaticCache() *StaticCache {
-	return &StaticCache{m: make(map[staticKey]*staticBucket)}
-}
-
 // staticEntry is one cache slot. The sync.Once serializes the build so
-// concurrent first renders of an identity (Parallelism > 1, or sibling
-// shard analyzers sharing the cache) share one BuildStaticSet instead of
-// racing duplicate work.
+// concurrent first renders of an identity (Parallelism > 1, or Serial
+// views of one analyzer on several workers) share one BuildStaticSet
+// instead of racing duplicate work.
 type staticEntry struct {
 	once sync.Once
 	set  *emsim.StaticSet
@@ -232,30 +220,45 @@ type planKey struct {
 	n          int
 }
 
+// planEntry is one plan-cache slot. The sync.Once makes concurrent first
+// uses of a segment share one Scene.Plan, so each segment's plan is built,
+// counted and recorded once at any parallelism and the run's planner
+// statistics (plan_skip_ratio among them) repeat exactly.
+type planEntry struct {
+	once sync.Once
+	plan *emsim.RenderPlan
+}
+
 // planFor returns the cached render plan for a segment, computing it on
-// first use. Concurrent first uses may both compute the plan; plans are
-// deterministic, so either result is valid and LoadOrStore keeps one.
+// first use.
 func (a *Analyzer) planFor(scene *emsim.Scene, band emsim.Band, n int) *emsim.RenderPlan {
 	if a.cfg.NoPlan {
 		return nil
 	}
 	key := planKey{scene: scene, center: band.Center, fs: band.SampleRate, n: n}
-	if v, ok := a.plans.Load(key); ok {
+	v, ok := a.plans.Load(key)
+	if !ok {
+		v, _ = a.plans.LoadOrStore(key, &planEntry{})
+	}
+	e := v.(*planEntry)
+	hit := true
+	e.once.Do(func() {
+		hit = false
+		e.plan = scene.Plan(band, n)
+		planMissesTotal.Inc()
+		if run := a.cfg.Obs; run != nil {
+			run.PlanCacheMisses.Inc()
+			run.RecordPlan(band.Center, band.SampleRate, n,
+				e.plan.ActiveCount(), len(scene.Components)-e.plan.ActiveCount())
+		}
+	})
+	if hit {
 		planHitsTotal.Inc()
 		if run := a.cfg.Obs; run != nil {
 			run.PlanCacheHits.Inc()
 		}
-		return v.(*emsim.RenderPlan)
 	}
-	planMissesTotal.Inc()
-	p := scene.Plan(band, n)
-	if run := a.cfg.Obs; run != nil {
-		run.PlanCacheMisses.Inc()
-		run.RecordPlan(band.Center, band.SampleRate, n,
-			p.ActiveCount(), len(scene.Components)-p.ActiveCount())
-	}
-	v, _ := a.plans.LoadOrStore(key, p)
-	return v.(*emsim.RenderPlan)
+	return e.plan
 }
 
 // staticFor returns the cached static layer for a capture identity,
@@ -278,7 +281,7 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 		Band: band, Start: start, N: n, Activity: req.Activity, Plan: plan,
 	})
 	cond := kb.b
-	sc := a.statics
+	sc := &a.statics
 	sc.mu.RLock()
 	bk := sc.m[key]
 	sc.mu.RUnlock()
@@ -328,15 +331,20 @@ func (a *Analyzer) staticFor(req Request, band emsim.Band, n int, seed int64, st
 // New creates an analyzer. See Config for defaults.
 func New(cfg Config) *Analyzer {
 	cfg = cfg.withDefaults()
-	a := &Analyzer{cfg: cfg, sem: make(chan struct{}, cfg.Parallelism)}
-	if cfg.ReuseStatic {
-		if cfg.Statics != nil {
-			a.statics = cfg.Statics
-		} else {
-			a.statics = NewStaticCache()
-		}
-	}
-	return a
+	return &Analyzer{cfg: cfg, sem: make(chan struct{}, cfg.Parallelism),
+		caches: &caches{statics: staticCache{m: make(map[staticKey]*staticBucket)}}}
+}
+
+// Serial returns a view of a that renders one capture at a time. The view
+// shares a's plan cache, static cache, buffer arena, Meter and Obs, and
+// has a semaphore of its own with one slot. A worker fleet that hands
+// each task its own view is then bounded by its worker count, not by a's
+// Parallelism, while every task still reuses the caches a's other sweeps
+// built. Output is bit-identical to sweeping on a itself.
+func (a *Analyzer) Serial() *Analyzer {
+	cfg := a.cfg
+	cfg.Parallelism = 1
+	return &Analyzer{cfg: cfg, sem: make(chan struct{}, 1), caches: a.caches}
 }
 
 // Fres returns the configured resolution bandwidth.
