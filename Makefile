@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke bench-regress obs-smoke service-load accuracy cover bench-refs profile
+.PHONY: ci fmt-check vet lint build test race shuffle bench-smoke equivalence fuzz-smoke bench-regress obs-smoke service-load accuracy cover bench-harness bench-refs profile
 
 # ci is the full gate: formatting, vet + lint, build, tests (with the race
 # detector, then again in shuffled order — the race pass includes the
@@ -9,8 +9,9 @@ GO ?= go
 # and the service submit endpoint, a benchmark smoke run, the sweep and
 # campaign regression gates, the observability smoke test, the service
 # load-test regression gate, the ground-truth accuracy gate, the
-# detection-core coverage floor, and the benchmark's pinned outputs.
-ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke bench-regress obs-smoke service-load accuracy cover bench-refs
+# detection-core coverage floor, the benchmark harness's own vet and
+# tests, and the benchmark's pinned outputs.
+ci: fmt-check vet lint build race shuffle equivalence fuzz-smoke bench-smoke bench-regress obs-smoke service-load accuracy cover bench-harness bench-refs
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -244,6 +245,13 @@ cover:
 		echo "cover: internal/core coverage below floor"; exit 1; \
 	fi
 
+# bench-harness vets and tests the benchmark harness (fasebench/, a nested
+# module the root `go test ./...` skips), which also checks that it still
+# compiles against the shard API it calls. It writes nothing under
+# fasebench/.
+bench-harness:
+	$(GO) -C fasebench vet ./... && $(GO) -C fasebench test ./...
+
 # bench-refs rebuilds fase and the benchmark harness (fasebench/) into a
 # temp dir, re-records the outputs the benchmark pins — each survey
 # campaign's CLI output for the shipped seeds and the detection count of
@@ -262,8 +270,9 @@ bench-refs:
 
 # obs-smoke runs a tiny instrumented campaign through the CLI with every
 # observability output enabled, then validates the run manifest and event
-# journal against their schemas, sanity-checks the trace and metrics
-# files, archives two runs into a run-history store and diffs them,
+# journal against their schemas, checks that the trace (read from the
+# journal) spans every campaign stage and a sweep, sanity-checks the
+# metrics file, archives two runs into a run-history store and diffs them,
 # exercises the live debug server end-to-end (/progress, Prometheus
 # /metrics, and the /events SSE stream) against a lingering scan, and
 # drives `fase serve` end to end: submit a scan over HTTP, poll it to
@@ -281,7 +290,9 @@ obs-smoke:
 	for f in run.json trace.json metrics.json events.jsonl; do \
 		[ -s $$tmp/$$f ] || { echo "obs-smoke: $$f missing or empty"; rm -rf $$tmp; exit 1; }; \
 	done; \
-	grep -q '"traceEvents"' $$tmp/trace.json || { echo "obs-smoke: trace output malformed"; rm -rf $$tmp; exit 1; }; \
+	for span in sweeps smooth score detect sweep; do \
+		grep -q "\"name\":\"$$span\",\"cat\":\"fase\",\"ph\":\"X\"" $$tmp/trace.json || { echo "obs-smoke: trace missing the $$span span"; rm -rf $$tmp; exit 1; }; \
+	done; \
 	grep -q '"fase_core_campaigns_total": 1' $$tmp/metrics.json || { echo "obs-smoke: metrics snapshot malformed"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"components_skipped": 0' $$tmp/run.json && { echo "obs-smoke: planner recorded no skips"; rm -rf $$tmp; exit 1; }; \
 	grep -q '"kind":"campaign_start"' $$tmp/events.jsonl || { echo "obs-smoke: journal missing campaign_start"; rm -rf $$tmp; exit 1; }; \

@@ -71,7 +71,7 @@ func run() int {
 	reconFres := flag.Float64("recon-fres", 0, "recon-pass resolution bandwidth for -adaptive, Hz (0 = 8×fres)")
 	classify := flag.Bool("classify", false, "also run the on-chip pair (LDL2/LDL1) and classify carriers")
 	metricsOut := flag.String("metrics-out", "", "write a JSON snapshot of process metrics to FILE on exit")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of campaign stages to FILE (load in chrome://tracing or Perfetto)")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the campaign's stages and sweeps, read from its event journal, to FILE (load in chrome://tracing or Perfetto)")
 	manifestOut := flag.String("manifest-out", "", "write the primary campaign's run manifest (JSON) to FILE")
 	pprofAddr := flag.String("pprof", "", "serve live pprof + /metrics + /progress + /events on ADDR (e.g. localhost:6060) while running")
 	eventsOut := flag.String("events-out", "", "write the campaign's event journal (JSONL) to FILE")
@@ -136,17 +136,9 @@ func run() int {
 	}
 	runner := &core.Runner{Scene: sys.Scene(*seed, *env)}
 	// The primary campaign carries the observability run; the optional
-	// classification pass shares the tracer lanes but not the manifest.
-	instrumented := *manifestOut != "" || *traceOut != "" ||
-		*eventsOut != "" || *runsDir != "" || *pprofAddr != ""
-	if instrumented {
+	// classification pass runs uninstrumented.
+	if *manifestOut != "" || *traceOut != "" || *eventsOut != "" || *runsDir != "" || *pprofAddr != "" {
 		runner.Obs = obs.NewRun()
-		if *traceOut != "" {
-			runner.Obs.Tracer = obs.NewTracer()
-		}
-		if *eventsOut != "" || *pprofAddr != "" {
-			runner.Obs.Journal = obs.NewJournal()
-		}
 	}
 	if *pprofAddr != "" {
 		ds, err := obs.Serve(*pprofAddr, obs.Default, runner.Obs)
@@ -212,7 +204,7 @@ func run() int {
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, runner.Obs.Tracer); err != nil {
+		if err := runner.Obs.Journal.WriteChromeTraceFile(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			ok = false
 		}
@@ -323,18 +315,6 @@ func runDiff(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeMetrics(path string) error {

@@ -101,18 +101,12 @@ const MinScoreZero = core.MinScoreZero
 // Attach one to Runner.Obs before RunE; read the result with Manifest().
 type ObsRun = obs.Run
 
-// Tracer records campaign → sweep → capture spans and writes them as
-// Chrome trace_event JSON (set it on an ObsRun).
-type Tracer = obs.Tracer
-
 // RunManifest is the per-run record an instrumented campaign produces.
 type RunManifest = obs.Manifest
 
-// NewObsRun starts an observability run (clock + metrics snapshot).
+// NewObsRun starts an observability run (clock, event journal, metrics
+// snapshot).
 func NewObsRun() *ObsRun { return obs.NewRun() }
-
-// NewTracer creates a span tracer whose epoch is now.
-func NewTracer() *Tracer { return obs.NewTracer() }
 
 // HarmonicSet groups detections at multiples of a common fundamental.
 type HarmonicSet = core.HarmonicSet

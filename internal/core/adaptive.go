@@ -434,13 +434,8 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 	campaignsTotal.Inc()
 	adaptiveCampaignsTotal.Inc()
 	run := r.Obs
-	var camp obs.Span
-	if run != nil {
-		camp = run.Tracer.Begin("campaign")
-	}
 	meter := specan.NewMeter(int64(c.Budget))
 	falts := c.FAlts()
-	run.SetBudget(int64(c.Budget))
 	run.SetTotals(int64(c.Budget), 0, 0)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignStart, Name: "adaptive",
 		F1Hz: c.F1, F2Hz: c.F2, Total: int64(c.Budget)})
@@ -453,7 +448,6 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 			if !granted {
 				outcome = obs.ReserveDenied
 			}
-			run.SetBudgetReserved(meter.Reserved())
 			run.Track(0).Emit(obs.Event{Kind: obs.EventBudgetReserve,
 				Captures: n, Outcome: outcome,
 				Reserved: meter.Reserved(), Cap: meter.Cap()})
@@ -475,10 +469,10 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 	// batches one at a time, so each journal track sees its sweeps in a
 	// deterministic order even though one batch's sweeps run
 	// concurrently.
-	batch := func(an *specan.Analyzer, f1, f2 float64, idx []int, span obs.Span) []*spectral.Spectrum {
+	batch := func(an *specan.Analyzer, f1, f2 float64, idx []int) []*spectral.Spectrum {
 		out := make([]*spectral.Spectrum, len(idx))
 		exec(ctx, an, len(idx), func(an *specan.Analyzer, j int) {
-			out[j] = r.sweepAt(ctx, an, c, falts, idx[j], f1, f2, run, span)
+			out[j] = r.sweepAt(ctx, an, c, falts, idx[j], f1, f2, run)
 		})
 		return out
 	}
@@ -493,19 +487,14 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 	// Recon: coarse full-band pass, scored like the exhaustive campaign
 	// but over the recon ladder subset.
 	endRecon := run.Stage("recon")
-	reconSpan := camp.Child("recon")
 	reconCost := int64(len(reconIdx)) * reconAn.SweepCaptures(c.F1, c.F2)
 	if !meter.Reserve(reconCost) {
-		reconSpan.End()
 		endRecon()
-		camp.End()
 		return nil, fmt.Errorf("core: adaptive Budget %d cannot fund the %d-capture recon pass", c.Budget, reconCost)
 	}
-	reconSpectra := batch(reconAn, c.F1, c.F2, reconIdx, reconSpan)
+	reconSpectra := batch(reconAn, c.F1, c.F2, reconIdx)
 	if err := ctx.Err(); err != nil {
-		reconSpan.End()
 		endRecon()
-		camp.End()
 		return nil, err
 	}
 	res.Measurements = make([]Measurement, len(reconSpectra))
@@ -519,14 +508,12 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 	res.Scores, res.Elevated = scoreHarmonics(reconSmoothed, reconFAlts, c.Harmonics)
 	releaseSmoothed(reconSmoothed)
 	cands := reconCandidates(res.Scores, res.Elevated, c.Harmonics, reconSpectra[0], c, ap)
-	reconSpan.End()
 	endRecon()
 	reconUsed := meter.Used()
 
 	// Refine: probe-gated full-resolution re-sweeps of the candidate
 	// windows, highest recon priority first, under the budget.
 	endRefine := run.Stage("refine")
-	refineSpan := camp.Child("refine")
 	windows := buildWindows(cands, c, falts)
 	if ap.MaxWindows > 0 && len(windows) > ap.MaxWindows {
 		sort.SliceStable(windows, func(a, b int) bool { return windows[a].priority > windows[b].priority })
@@ -541,7 +528,7 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 	probeStash := make([][]*spectral.Spectrum, len(windows))
 	windowDets := make([][]Detection, len(windows))
 	probe := func(w refineWindow) float64 {
-		sp := batch(refineAn, w.f1, w.f2, reconIdx, refineSpan)
+		sp := batch(refineAn, w.f1, w.f2, reconIdx)
 		if ctx.Err() != nil {
 			return 0
 		}
@@ -562,7 +549,7 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 		return best
 	}
 	refine := func(w refineWindow, _ float64) int {
-		comp := batch(refineAn, w.f1, w.f2, compIdx, refineSpan)
+		comp := batch(refineAn, w.f1, w.f2, compIdx)
 		if ctx.Err() != nil {
 			return 0
 		}
@@ -586,10 +573,8 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 		return len(dets)
 	}
 	outcomes := scheduleRefinement(ctx, windows, meter, ap.abandonThreshold(c), probe, refine)
-	refineSpan.End()
 	endRefine()
 	if err := ctx.Err(); err != nil {
-		camp.End()
 		return nil, err
 	}
 	refineUsed := meter.Used() - reconUsed
@@ -598,7 +583,6 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 	// window boundaries, then one artifact-filter pass over the combined
 	// set (a ghost's parent carrier may sit in a different window).
 	endDetect := run.Stage("detect")
-	detectSpan := camp.Child("detect")
 	var all []Detection
 	for _, dets := range windowDets {
 		all = append(all, dets...)
@@ -610,7 +594,6 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 		// Measurements), preserving Grid/provenance round-trips.
 		res.Detections[i].Bin = recon0.Index(res.Detections[i].Freq)
 	}
-	detectSpan.End()
 	endDetect()
 
 	stats := &obs.AdaptiveStats{
@@ -658,7 +641,6 @@ func (r *Runner) runAdaptive(ctx context.Context, c Campaign, exec Exec) (*Resul
 	emitDetections(run, res, c)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignEnd,
 		Captures: meter.Used(), Detections: len(res.Detections)})
-	camp.End()
 	if run != nil {
 		if m := run.Finish(manifestConfig(c), res.SimulatedSeconds, provenance(res, c)); m != nil {
 			m.Adaptive = stats

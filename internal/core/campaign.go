@@ -322,12 +322,13 @@ type Runner struct {
 	// NearField/NearFieldGainDB select the localization probe model.
 	NearField       bool
 	NearFieldGainDB float64
-	// Obs, when non-nil, instruments the campaign: stage wall/CPU
-	// timings, per-capture render/FFT time, planner and cache
-	// statistics, and detection provenance, all folded into a run
-	// manifest by Execute (via obs.Run.Finish). Attach an obs.Tracer to
-	// also record campaign → sweep → capture spans. Instrumentation
-	// never changes results (enforced by the equivalence tests).
+	// Obs, when non-nil, instruments the campaign: its event journal
+	// (lifecycle, stages with wall/CPU seconds, sweeps, budget, windows,
+	// detections — from which the Chrome trace and /progress are read),
+	// per-capture render/FFT time, planner and cache statistics, and
+	// detection provenance, all folded into a run manifest by Execute
+	// (via obs.Run.Finish). Instrumentation never changes results
+	// (enforced by the equivalence tests).
 	Obs *obs.Run
 }
 
@@ -380,8 +381,8 @@ func Goroutines(ctx context.Context, an *specan.Analyzer, n int, sweep func(an *
 // batches of sweeps on it, so the phase's plan and static caches persist
 // across batches whichever executor runs them. ctx cancels mid-sweep:
 // after each batch, if ctx is done, Execute returns ctx.Err() before
-// scoring anything. When Runner.Obs is set, the pipeline stages are timed
-// and traced, and the run's manifest is finalized with the resolved
+// scoring anything. When Runner.Obs is set, the pipeline stages are
+// journaled, and the run's manifest is finalized with the resolved
 // configuration and per-detection provenance before returning.
 func (r *Runner) Execute(ctx context.Context, c Campaign, exec Exec) (*Result, error) {
 	if err := c.Validate(); err != nil {
@@ -398,10 +399,6 @@ func (r *Runner) Execute(ctx context.Context, c Campaign, exec Exec) (*Result, e
 	// ladder-sweep shards, then the fixed-order reduce.
 	p := &ShardPlan{Campaign: c, FAlts: c.FAlts()}
 	run := r.Obs
-	var camp obs.Span
-	if run != nil {
-		camp = run.Tracer.Begin("campaign")
-	}
 	an := specan.New(p.AnalyzerConfig(run))
 	p.Begin(an, run)
 	// The per-f_alt measurements are independent observations of the same
@@ -413,17 +410,14 @@ func (r *Runner) Execute(ctx context.Context, c Campaign, exec Exec) (*Result, e
 	// identical to a sequential run.
 	ms := make([]Measurement, len(p.FAlts))
 	endSweeps := run.Stage("sweeps")
-	sweepsSpan := camp.Child("sweeps")
 	exec(ctx, an, len(p.FAlts), func(an *specan.Analyzer, i int) {
-		ms[i] = r.RenderShard(ctx, an, p, i, run, sweepsSpan)
+		ms[i] = r.RenderShard(ctx, an, p, i, run, obs.Span{})
 	})
-	sweepsSpan.End()
 	endSweeps()
 	if err := ctx.Err(); err != nil {
-		camp.End()
 		return nil, err
 	}
-	return r.ReduceShards(p, ms, run, camp)
+	return r.ReduceShards(p, ms, run, obs.Span{})
 }
 
 // emitDetections journals the campaign's merged detections on the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -397,7 +399,7 @@ func TestCampaignEndToEndMemoryPair(t *testing.T) {
 }
 
 // TestCampaignObservabilityEquivalence runs the same campaign bare and
-// fully instrumented (run + tracer) and requires bit-identical spectra
+// fully instrumented (run + journal) and requires bit-identical spectra
 // and detections — observability must watch the pipeline, never steer
 // it. It then checks the manifest the instrumented run produced: valid
 // against the schema, stage walls summing to the total, planner skips
@@ -414,7 +416,6 @@ func TestCampaignObservabilityEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := obs.NewRun()
-	run.Tracer = obs.NewTracer()
 	inst, err := (&Runner{Scene: sys.Scene(21, true), Obs: run}).RunE(c)
 	if err != nil {
 		t.Fatal(err)
@@ -485,13 +486,37 @@ func TestCampaignObservabilityEquivalence(t *testing.T) {
 			t.Errorf("detection %d: best-harmonic sub-score %g != score %g", i, best, d.Score)
 		}
 	}
-	// The tracer saw the campaign, its stages, and every sweep/capture.
-	kinds := map[string]int{}
-	for _, e := range run.Tracer.Events() {
-		kinds[e.Name]++
+	// The manifest's stages are the journal's stage_end events, exactly.
+	var ends []obs.StageTiming
+	for _, e := range run.Journal.CanonicalEvents() {
+		if e.Track == 0 && e.Kind == obs.EventStageEnd {
+			ends = append(ends, obs.StageTiming{Name: e.Name, WallSeconds: e.WallSeconds, CPUSeconds: e.CPUSeconds})
+		}
 	}
-	if kinds["campaign"] != 1 || kinds["sweeps"] != 1 || kinds["sweep"] != inst.Campaign.NumAlts || kinds["capture"] != int(m.Captures) {
-		t.Errorf("trace events: %v (captures=%d)", kinds, m.Captures)
+	if !slices.Equal(ends, m.Stages) {
+		t.Errorf("manifest stages %+v, journal stage_end events %+v", m.Stages, ends)
+	}
+	// The trace read from the journal spans the campaign, its stages and
+	// every sweep.
+	var buf bytes.Buffer
+	if err := run.Journal.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct{ Name, Ph string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, e := range trace.TraceEvents {
+		if e.Ph == "X" {
+			spans[e.Name]++
+		}
+	}
+	want := map[string]int{"campaign": 1, "sweeps": 1, "smooth": 1, "score": 1, "detect": 1, "sweep": inst.Campaign.NumAlts}
+	if !maps.Equal(spans, want) {
+		t.Errorf("trace spans %v, want %v", spans, want)
 	}
 }
 

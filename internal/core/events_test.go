@@ -11,18 +11,17 @@ import (
 	"fase/internal/obs"
 )
 
-// normalizedJournal renders a journal in canonical order with the two
-// nondeterministic wall-clock fields (t, wall_seconds) zeroed, so
-// byte-equality means event-content equality.
+// normalizedJournal renders a journal in canonical order with the
+// wall-clock fields zeroed (obs.Event.WithoutWallClock), so byte-equality
+// means event-content equality.
 func normalizedJournal(t *testing.T, j *obs.Journal) []byte {
 	t.Helper()
 	evs := j.CanonicalEvents()
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "{\"schema\":%q,\"events\":%d}\n", obs.JournalSchema, len(evs))
 	for i := range evs {
-		evs[i].T = 0
-		evs[i].WallSeconds = 0
-		line, err := json.Marshal(&evs[i])
+		e := evs[i].WithoutWallClock()
+		line, err := json.Marshal(&e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,10 +82,10 @@ func (p *ShardPlan) Begin(an *specan.Analyzer, run *obs.Run) {
 // its measurement (see sweepAt for the seeding and journal contract).
 // ctx, when non-nil, cooperatively cancels the shard mid-render (see
 // specan.Request.Ctx); a cancelled shard's measurement is partial garbage
-// and must be discarded, never reduced.
-func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardPlan, i int, run *obs.Run, parent obs.Span) Measurement {
+// and must be discarded, never reduced. The obs.Span is ignored.
+func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardPlan, i int, run *obs.Run, _ obs.Span) Measurement {
 	c := p.Campaign
-	return Measurement{FAlt: p.FAlts[i], Spectrum: r.sweepAt(ctx, an, c, p.FAlts, i, c.F1, c.F2, run, parent)}
+	return Measurement{FAlt: p.FAlts[i], Spectrum: r.sweepAt(ctx, an, c, p.FAlts, i, c.F1, c.F2, run)}
 }
 
 // sweepAt sweeps [f1, f2] on an with the micro-benchmark alternating at
@@ -94,7 +94,7 @@ func (r *Runner) RenderShard(ctx context.Context, an *specan.Analyzer, p *ShardP
 // falts[i] see the same alternation realization; its journal events land
 // on track 1+i, which belongs to that ladder index, so the canonical
 // journal is identical at any parallelism and any placement.
-func (r *Runner) sweepAt(ctx context.Context, an *specan.Analyzer, c Campaign, falts []float64, i int, f1, f2 float64, run *obs.Run, parent obs.Span) *spectral.Spectrum {
+func (r *Runner) sweepAt(ctx context.Context, an *specan.Analyzer, c Campaign, falts []float64, i int, f1, f2 float64, run *obs.Run) *spectral.Spectrum {
 	fa := falts[i]
 	// Under fault injection the micro-benchmark's clock may drift: the
 	// generated alternation runs at fa·(1+ε) while scoring still probes
@@ -110,7 +110,6 @@ func (r *Runner) sweepAt(ctx context.Context, an *specan.Analyzer, c Campaign, f
 		Scene: r.Scene, F1: f1, F2: f2, Activity: tr,
 		Seed:      c.Seed,
 		NearField: r.NearField, NearFieldGainDB: r.NearFieldGainDB,
-		Span:   parent,
 		Events: jt,
 		Ctx:    ctx,
 	})
@@ -120,8 +119,8 @@ func (r *Runner) sweepAt(ctx context.Context, an *specan.Analyzer, c Campaign, f
 // ordered by ladder index, ms[i] from RenderShard(i) — through the
 // smooth/score/detect stages and finalizes the run manifest. The reduce
 // is pure fixed-order computation over the spectra, so where the shards
-// rendered is invisible to it.
-func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp obs.Span) (*Result, error) {
+// rendered is invisible to it. The obs.Span is ignored.
+func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, _ obs.Span) (*Result, error) {
 	c := p.Campaign
 	if len(ms) != len(p.FAlts) {
 		return nil, fmt.Errorf("core: ReduceShards got %d measurements for %d shards", len(ms), len(p.FAlts))
@@ -130,31 +129,24 @@ func (r *Runner) ReduceShards(p *ShardPlan, ms []Measurement, run *obs.Run, camp
 		SimulatedSeconds: p.SimulatedSeconds, Captures: p.Captures}
 	falts := p.FAlts
 	endSmooth := run.Stage("smooth")
-	smoothSpan := camp.Child("smooth")
 	spectra := make([]*spectral.Spectrum, len(ms))
 	for i, m := range ms {
 		spectra[i] = m.Spectrum
 	}
 	// Smoothed spectra are scoring scratch, released after detection.
 	smoothed := smoothPooled(spectra, c.SmoothBins)
-	smoothSpan.End()
 	endSmooth()
 	endScore := run.Stage("score")
-	scoreSpan := camp.Child("score")
 	res.Scores, res.Elevated = scoreHarmonics(smoothed, falts, c.Harmonics)
-	scoreSpan.End()
 	endScore()
 	endDetect := run.Stage("detect")
-	detectSpan := camp.Child("detect")
 	res.Detections = detect(res, spectra, smoothed, falts)
-	detectSpan.End()
 	endDetect()
 	releaseSmoothed(smoothed)
 	detectionsTotal.Add(int64(len(res.Detections)))
 	emitDetections(run, res, c)
 	run.Track(0).Emit(obs.Event{Kind: obs.EventCampaignEnd,
 		Captures: res.Captures, Detections: len(res.Detections)})
-	camp.End()
 	if run != nil {
 		run.Finish(manifestConfig(c), res.SimulatedSeconds, provenance(res, c))
 	}

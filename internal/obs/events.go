@@ -27,7 +27,9 @@ const (
 	// EventCampaignEnd closes a run: Captures spent, Detections reported.
 	EventCampaignEnd = "campaign_end"
 	// EventStageStart/EventStageEnd bracket one sequential pipeline stage
-	// (Name); the end event carries the stage's WallSeconds.
+	// (Name); the end event carries the stage's WallSeconds and
+	// CPUSeconds. Run.Stages and the manifest's stages are read from the
+	// coordinator track's stage_end events.
 	EventStageStart = "stage_start"
 	EventStageEnd   = "stage_end"
 	// EventSweepPlan announces one ladder sweep before it starts: FAltHz
@@ -68,8 +70,9 @@ const (
 
 // Event is one typed journal entry. Payload fields are a union across
 // kinds — unset fields are omitted from the JSON — and every field except
-// T and WallSeconds is deterministic for a bit-identical run, which is
-// what makes archived journals byte-comparable (see WriteJSONL).
+// the wall-clock ones (T, WallSeconds, CPUSeconds; see WithoutWallClock)
+// is deterministic for a bit-identical run, which is what makes archived
+// journals byte-comparable (see WriteJSONL).
 type Event struct {
 	// Seq is the event's position in the canonical journal: assigned by
 	// WriteJSONL after the deterministic (Track, TSeq) sort. In live SSE
@@ -83,9 +86,11 @@ type Event struct {
 	// tracks run concurrently.
 	Track int64 `json:"track"`
 	TSeq  int64 `json:"tseq"`
-	// T is wall-clock seconds since the journal was created — with
-	// WallSeconds, the only nondeterministic fields; equivalence checks
-	// zero both before comparing.
+	// T is wall-clock seconds since the journal was created. It and
+	// WallSeconds and CPUSeconds (a stage's elapsed wall time and the
+	// process CPU time spent during it, on stage_end) are the wall-clock
+	// fields, the only ones that differ between bit-identical runs;
+	// WithoutWallClock zeroes all three.
 	T    float64 `json:"t"`
 	Kind string  `json:"kind"`
 
@@ -106,6 +111,15 @@ type Event struct {
 	Detections  int     `json:"detections,omitempty"`
 	Dropped     int64   `json:"dropped,omitempty"`
 	WallSeconds float64 `json:"wall_seconds,omitempty"`
+	CPUSeconds  float64 `json:"cpu_seconds,omitempty"`
+}
+
+// WithoutWallClock returns the event with every wall-clock field (T,
+// WallSeconds, CPUSeconds) zeroed: what is left is the same for every
+// bit-identical run, so equivalence checks compare these.
+func (e Event) WithoutWallClock() Event {
+	e.T, e.WallSeconds, e.CPUSeconds = 0, 0, 0
+	return e
 }
 
 // Process-wide journal counters (all journals share them).
@@ -188,6 +202,7 @@ func (t *JournalTrack) Emit(e Event) {
 	e.Score = finiteOr(e.Score, math.MaxFloat64)
 	e.Priority = finiteOr(e.Priority, math.MaxFloat64)
 	e.WallSeconds = finiteOr(e.WallSeconds, 0)
+	e.CPUSeconds = finiteOr(e.CPUSeconds, 0)
 	j.mu.Lock()
 	e.Track = t.id
 	e.TSeq = t.next
@@ -299,11 +314,25 @@ func (j *Journal) Stats() (emitted, dropped int64) {
 	return int64(len(j.events)), j.dropped
 }
 
+// scan calls fn on every event emitted so far, in arrival order, with
+// the journal locked: fn must not emit. Each track's events arrive in
+// TSeq order. A nil journal has no events.
+func (j *Journal) scan(fn func(e *Event)) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for i := range j.events {
+		fn(&j.events[i])
+	}
+}
+
 // CanonicalEvents returns a copy of the journal sorted by (Track, TSeq)
 // with Seq rewritten to the canonical position. This ordering is a pure
 // function of the run's deterministic event content — two bit-identical
 // runs produce identical canonical journals regardless of parallelism or
-// caching, up to the wall-clock T/WallSeconds fields.
+// caching, up to the wall-clock fields (Event.WithoutWallClock).
 func (j *Journal) CanonicalEvents() []Event {
 	if j == nil {
 		return nil
@@ -351,17 +380,10 @@ func (j *Journal) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteJSONLFile writes the canonical journal to path.
+// WriteJSONLFile writes the canonical journal to path, replacing any
+// previous file whole (see writeFileAtomic).
 func (j *Journal) WriteJSONLFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := j.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFileAtomic(path, j.WriteJSONL)
 }
 
 // knownEventKinds is the archived-journal kind set (EventEventsDropped is
@@ -378,8 +400,11 @@ var knownEventKinds = map[string]bool{
 
 // ValidateJournal checks a serialized journal against the schema: header
 // first, canonical contiguous Seq, per-track contiguous TSeq, known
-// kinds, non-negative counters, and well-formed outcome enums. It returns
-// the first violation found.
+// kinds, non-negative counters and timings, well-formed outcome enums,
+// and the pairs the stage, trace and progress views fold: every track-0
+// stage_end closes an open stage_start of the same name, and sweep_start
+// and sweep_end alternate on each track. It returns the first violation
+// found.
 func ValidateJournal(data []byte) error {
 	lines := splitLines(data)
 	if len(lines) == 0 {
@@ -400,6 +425,8 @@ func ValidateJournal(data []byte) error {
 		return fmt.Errorf("obs: journal has no events")
 	}
 	nextTSeq := map[int64]int64{}
+	openStages := map[string]bool{}
+	inSweep := map[int64]bool{}
 	sawStart := false
 	for i, line := range events {
 		var e Event
@@ -420,7 +447,7 @@ func ValidateJournal(data []byte) error {
 		if !knownEventKinds[e.Kind] {
 			return fmt.Errorf("obs: event %d has unknown kind %q", i, e.Kind)
 		}
-		if e.T < 0 || e.WallSeconds < 0 {
+		if e.T < 0 || e.WallSeconds < 0 || e.CPUSeconds < 0 {
 			return fmt.Errorf("obs: event %d (%s) has negative timing", i, e.Kind)
 		}
 		if e.Captures < 0 || e.Total < 0 || e.Reserved < 0 || e.Cap < 0 ||
@@ -443,9 +470,31 @@ func ValidateJournal(data []byte) error {
 			default:
 				return fmt.Errorf("obs: event %d has window outcome %q", i, e.Outcome)
 			}
+		case EventStageStart:
+			if e.Track == 0 {
+				openStages[e.Name] = true
+			}
+		case EventStageEnd:
+			if e.Track == 0 {
+				if !openStages[e.Name] {
+					return fmt.Errorf("obs: event %d ends stage %q, which is not open", i, e.Name)
+				}
+				delete(openStages, e.Name)
+			}
+		case EventSweepStart:
+			if inSweep[e.Track] {
+				return fmt.Errorf("obs: event %d starts a sweep on track %d inside another", i, e.Track)
+			}
+			inSweep[e.Track] = true
 		case EventSweepProgress, EventSweepEnd:
 			if e.Captures > e.Total {
 				return fmt.Errorf("obs: event %d reports %d of %d captures", i, e.Captures, e.Total)
+			}
+			if e.Kind == EventSweepEnd {
+				if !inSweep[e.Track] {
+					return fmt.Errorf("obs: event %d ends a sweep on track %d that never started", i, e.Track)
+				}
+				inSweep[e.Track] = false
 			}
 		}
 	}

@@ -122,7 +122,10 @@ func TestValidateJournalRejects(t *testing.T) {
 	valid := func() []string {
 		j := NewJournal()
 		j.Track(0).Emit(Event{Kind: EventCampaignStart, Name: "exhaustive"})
+		j.Track(0).Emit(Event{Kind: EventStageStart, Name: "sweeps"})
+		j.Track(1).Emit(Event{Kind: EventSweepStart, Total: 4})
 		j.Track(1).Emit(Event{Kind: EventSweepEnd, Captures: 2, Total: 4})
+		j.Track(0).Emit(Event{Kind: EventStageEnd, Name: "sweeps", WallSeconds: 0.5, CPUSeconds: 0.25})
 		j.Track(0).Emit(Event{Kind: EventCampaignEnd, Captures: 4})
 		var buf bytes.Buffer
 		if err := j.WriteJSONL(&buf); err != nil {
@@ -160,14 +163,31 @@ func TestValidateJournalRejects(t *testing.T) {
 			l[1] = strings.Replace(l[1], "campaign_start", "campaign_end", 1)
 			return l
 		}},
-		// Canonical line order: header, campaign_start, campaign_end
-		// (track 0), then sweep_end (track 1).
+		// Canonical line order: header, campaign_start, stage_start,
+		// stage_end, campaign_end (track 0), then sweep_start, sweep_end
+		// (track 1).
 		{"negative captures", func(l []string) []string {
-			l[2] = strings.Replace(l[2], `"captures":4`, `"captures":-4`, 1)
+			l[4] = strings.Replace(l[4], `"captures":4`, `"captures":-4`, 1)
 			return l
 		}},
 		{"captures over total", func(l []string) []string {
-			l[3] = strings.Replace(l[3], `"captures":2`, `"captures":9`, 1)
+			l[6] = strings.Replace(l[6], `"captures":2`, `"captures":9`, 1)
+			return l
+		}},
+		{"negative cpu seconds", func(l []string) []string {
+			l[3] = strings.Replace(l[3], `"cpu_seconds":0.25`, `"cpu_seconds":-0.25`, 1)
+			return l
+		}},
+		{"stage end without its start", func(l []string) []string {
+			l[2] = strings.Replace(l[2], `"name":"sweeps"`, `"name":"smooth"`, 1)
+			return l
+		}},
+		{"sweep end without a start", func(l []string) []string {
+			l[5] = strings.Replace(l[5], EventSweepStart, EventSweepProgress, 1)
+			return l
+		}},
+		{"sweep start inside a sweep", func(l []string) []string {
+			l[6] = strings.Replace(l[6], EventSweepEnd, EventSweepStart, 1)
 			return l
 		}},
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -222,31 +223,53 @@ type HarmonicScore struct {
 	Elevated int     `json:"elevated"`
 }
 
-// WriteFile writes the manifest as indented JSON. The bytes go to a
-// temporary file in path's directory that is then renamed over path, so
-// a reader — or a second writer racing to the same run-store address —
-// finds either the previous file or the new one whole, never a torn mix,
-// and a crash mid-write leaves at worst a stray temporary. Temporaries
-// are named ".<name>.tmp-<random>", which never matches "*.json", so
-// store listings skip them. There is no fsync: the guarantee covers
-// crashes of the writing process and concurrent writers, not power loss.
-// A path naming an existing non-regular file (a pipe or a device such as
-// /dev/stdout) cannot be renamed over and is written in place.
+// WriteFile writes the manifest as indented JSON, replacing any
+// previous file whole (see writeFileAtomic).
 func (m *Manifest) WriteFile(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("obs: marshal manifest: %w", err)
 	}
 	data = append(data, '\n')
-	if st, err := os.Stat(path); err == nil && !st.Mode().IsRegular() {
-		return os.WriteFile(path, data, 0o644)
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("obs: write manifest: %w", err)
 	}
+	return nil
+}
+
+// writeFileAtomic writes a file through write. The bytes go to a
+// temporary file in path's directory that is then renamed over path, so
+// a reader — or a second writer racing to the same run-store address —
+// finds either the previous file or the new one whole, never a torn mix,
+// and a crash or a failed write leaves at worst a stray temporary.
+// Temporaries are named ".<name>.tmp-<random>", which never matches
+// "*.json", so store listings skip them. There is no fsync: the
+// guarantee covers crashes of the writing process and concurrent
+// writers, not power loss. A path naming an existing non-regular file (a
+// pipe or a device such as /dev/stdout) cannot be renamed over and is
+// written in place.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	if st, err := os.Stat(path); err == nil && !st.Mode().IsRegular() {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_TRUNC, 0)
+		if err != nil {
+			return err
+		}
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
 	tmp := f.Name()
-	_, err = f.Write(data)
+	err = write(f)
 	if err == nil {
 		err = f.Chmod(0o644)
 	}
@@ -258,9 +281,8 @@ func (m *Manifest) WriteFile(path string) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("obs: write manifest: %w", err)
 	}
-	return nil
+	return err
 }
 
 // ReadManifest parses a manifest from JSON without validating it; use

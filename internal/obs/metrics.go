@@ -1,13 +1,14 @@
 // Package obs is the zero-dependency observability layer of the FASE
 // pipeline: a process-wide metrics registry (counters, gauges,
-// fixed-bucket histograms — all atomic), span-based stage tracing that
-// emits Chrome trace_event JSON, per-run manifests recording where a
-// campaign's time went and why each detection fired, and a debug HTTP
-// server exposing net/http/pprof plus a metrics snapshot.
+// fixed-bucket histograms — all atomic), a per-run event journal that is
+// the one record of a campaign's lifecycle (stage timings, the Chrome
+// trace and /progress are all read from it), per-run manifests recording
+// where a campaign's time went and why each detection fired, and a debug
+// HTTP server exposing net/http/pprof plus a metrics snapshot.
 //
 // Everything is stdlib-only and safe under the rendering worker pools.
-// Every hook is a nil-safe no-op: a nil *Run, nil *Tracer, or zero Span
-// does nothing and allocates nothing, so the instrumented hot path stays
+// Every hook is a nil-safe no-op: a nil *Run or a nil *JournalTrack does
+// nothing and allocates nothing, so the instrumented hot path stays
 // allocation-free and bit-identical when observability is off (enforced
 // by the planner equivalence tests, which run with it on).
 package obs

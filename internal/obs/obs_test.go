@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,24 +42,18 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	}
 }
 
-func TestNilRunAndTracerAreNoOps(t *testing.T) {
+func TestNilRunIsNoOp(t *testing.T) {
 	var run *Run
 	run.Stage("x")()
 	run.RecordPlan(1, 2, 3, 4, 5)
 	if run.Stages() != nil || run.Manifest() != nil || run.Finish(nil, 0, nil) != nil {
 		t.Error("nil run returned data")
 	}
-	var tr *Tracer
-	sp := tr.Begin("root")
-	if sp.Active() {
-		t.Error("nil tracer produced an active span")
-	}
-	sp.Child("c").End()
-	sp.Fork("f").End()
-	sp.Mark("m", time.Now(), time.Second)
-	sp.End()
-	if tr.Events() != nil {
-		t.Error("nil tracer recorded events")
+	// A Run built without NewRun has no journal, so it records no stages.
+	bare := &Run{}
+	bare.Stage("x")()
+	if got := bare.Stages(); got != nil {
+		t.Errorf("journal-less run recorded stages %+v", got)
 	}
 }
 
@@ -160,9 +155,10 @@ func TestRegistryWriteJSONStable(t *testing.T) {
 }
 
 // TestConcurrentExactTotals hammers the registry's metrics and a run's
-// per-capture accumulators from Parallelism-many goroutines and asserts
-// exact totals — the invariant the worker pools rely on (run under -race
-// by make race).
+// per-capture accumulators from Parallelism-many goroutines, each also
+// journaling a stage and sweep and reading the journal-derived views
+// while the others emit, and asserts exact totals — the invariant the
+// worker pools rely on (run under -race by make race).
 func TestConcurrentExactTotals(t *testing.T) {
 	const perG = 2000
 	workers := runtime.GOMAXPROCS(0) * 2
@@ -171,22 +167,28 @@ func TestConcurrentExactTotals(t *testing.T) {
 	g := r.Gauge("level")
 	h := r.Histogram("lat", ExpBuckets(1, 2, 8))
 	run := NewRun()
-	run.Tracer = NewTracer()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			root := run.Tracer.Begin(fmt.Sprintf("worker-%d", w))
+			end := run.Stage(fmt.Sprintf("worker-%d", w))
 			for i := 0; i < perG; i++ {
 				c.Inc()
 				g.Set(float64(w))
 				h.Observe(float64(i % 300))
 				run.Captures.Inc()
 				run.RenderSeconds.Add(0.001)
+				if i%500 == 0 {
+					run.Progress()
+					run.Stages()
+				}
 			}
+			tr := run.Track(int64(1 + w))
+			tr.Emit(Event{Kind: EventSweepStart, Total: 1})
+			tr.Emit(Event{Kind: EventSweepEnd, Captures: 1, Total: 1})
 			run.RecordPlan(float64(w), 1e6, 1024, 3, 2)
-			root.End()
+			end()
 		}(w)
 	}
 	wg.Wait()
@@ -204,100 +206,70 @@ func TestConcurrentExactTotals(t *testing.T) {
 	if got := run.RenderSeconds.Value(); got < want*(1-1e-9) || got > want*(1+1e-9) {
 		t.Errorf("render seconds %g, want %g", got, want)
 	}
-	if got := len(run.Tracer.Events()); got != workers {
-		t.Errorf("%d trace events, want %d", got, workers)
+	if got := len(run.Stages()); got != workers {
+		t.Errorf("%d stages, want %d", got, workers)
+	}
+	if got := run.Progress().SweepsDone; got != int64(workers) {
+		t.Errorf("%d sweeps done, want %d", got, workers)
 	}
 }
 
-// TestChromeTraceStructure asserts the trace output is structurally valid
-// trace_event JSON: complete events with non-negative timings, lanes as
-// tids, and parent links resolving to recorded span ids.
+// TestChromeTraceStructure asserts the trace read from the journal is
+// structurally valid trace_event JSON: the campaign, stage and sweep
+// start/end pairs become complete events on their tracks' tids, every
+// other event an instant carrying the event as args, and a start whose
+// end never came draws nothing.
 func TestChromeTraceStructure(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Begin("campaign")
-	stage := root.Child("sweeps")
-	fork := stage.Fork("sweep")
-	fork.Mark("render", time.Now(), time.Millisecond)
-	fork.End()
-	stage.End()
-	root.End()
+	j := NewJournal()
+	ct, st := j.Track(0), j.Track(2)
+	ct.Emit(Event{Kind: EventCampaignStart, Name: "exhaustive", Total: 4})
+	ct.Emit(Event{Kind: EventStageStart, Name: "sweeps"})
+	st.Emit(Event{Kind: EventSweepPlan, FAltHz: 43e3})
+	st.Emit(Event{Kind: EventSweepStart, Total: 4})
+	time.Sleep(time.Millisecond)
+	st.Emit(Event{Kind: EventSweepEnd, Captures: 4, Total: 4})
+	ct.Emit(Event{Kind: EventStageEnd, Name: "sweeps", WallSeconds: 0.001})
+	ct.Emit(Event{Kind: EventStageStart, Name: "detect"})
+	ct.Emit(Event{Kind: EventCampaignEnd, Captures: 4})
 
-	if root.Active() != true {
-		t.Error("live span should be active")
-	}
 	var b bytes.Buffer
-	if err := tr.WriteChromeTrace(&b); err != nil {
+	if err := j.WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
 		TraceEvents []struct {
-			Name string         `json:"name"`
-			Cat  string         `json:"cat"`
-			Ph   string         `json:"ph"`
-			Ts   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			Pid  int            `json:"pid"`
-			Tid  int64          `json:"tid"`
-			Args map[string]any `json:"args"`
+			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
+			Ph   string  `json:"ph"`
+			Ts   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			Pid  int     `json:"pid"`
+			Tid  int64   `json:"tid"`
+			Args Event   `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(b.Bytes(), &out); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(out.TraceEvents) != 4 {
-		t.Fatalf("%d events, want 4", len(out.TraceEvents))
+	type span struct {
+		name, ph string
+		tid      int64
 	}
-	ids := map[float64]string{}
+	var got []span
 	for _, e := range out.TraceEvents {
-		if e.Ph != "X" {
-			t.Errorf("event %q has ph %q, want X", e.Name, e.Ph)
+		got = append(got, span{e.Name, e.Ph, e.Tid})
+		if e.Ts < 0 || e.Dur < 0 || e.Cat != "fase" || e.Pid != 1 {
+			t.Errorf("event %+v malformed", e)
 		}
-		if e.Ts < 0 || e.Dur < 0 {
-			t.Errorf("event %q has negative timing ts=%g dur=%g", e.Name, e.Ts, e.Dur)
-		}
-		if e.Cat != "fase" {
-			t.Errorf("event %q has cat %q", e.Name, e.Cat)
-		}
-		id, ok := e.Args["id"].(float64)
-		if !ok || id <= 0 {
-			t.Fatalf("event %q has no id: %+v", e.Name, e.Args)
-		}
-		ids[id] = e.Name
-	}
-	byName := map[string]map[string]any{}
-	for _, e := range out.TraceEvents {
-		byName[e.Name] = e.Args
-	}
-	// campaign is a root; sweeps is its child; sweep forks from sweeps;
-	// render marks inside sweep.
-	if p := byName["campaign"]["parent"].(float64); p != 0 {
-		t.Errorf("campaign parent %g, want 0", p)
-	}
-	for child, parent := range map[string]string{
-		"sweeps": "campaign", "sweep": "sweeps", "render": "sweep",
-	} {
-		pid := byName[child]["parent"].(float64)
-		if ids[pid] != parent {
-			t.Errorf("%s's parent id %g resolves to %q, want %q", child, pid, ids[pid], parent)
+		if e.Ph == "X" && e.Name == "sweep" && (e.Dur < 1e3 || e.Args.Kind != EventSweepEnd || e.Args.Captures != 4) {
+			t.Errorf("sweep span %+v: want ≥1 ms closed by its sweep_end", e)
 		}
 	}
-}
-
-// TestTracerLanePooling checks sequential root spans reuse lanes, so a
-// long campaign's trace keeps a bounded lane (thread) count.
-func TestTracerLanePooling(t *testing.T) {
-	tr := NewTracer()
-	for i := 0; i < 10; i++ {
-		s := tr.Begin("s")
-		s.End()
-	}
-	lanes := map[int64]bool{}
-	for _, e := range tr.Events() {
-		lanes[e.Lane] = true
-	}
-	if len(lanes) != 1 {
-		t.Errorf("sequential spans used %d lanes, want 1", len(lanes))
+	// Canonical order: track 0 (campaign closes last), then track 2.
+	want := []span{{"sweeps", "X", 0}, {"campaign", "X", 0}, {EventSweepPlan, "i", 2}, {"sweep", "X", 2}}
+	if !slices.Equal(got, want) {
+		t.Errorf("trace events %v, want %v", got, want)
 	}
 }
 

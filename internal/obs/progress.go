@@ -9,20 +9,17 @@ import (
 func floatBits(v float64) uint64     { return math.Float64bits(v) }
 func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
-// progress is the Run's live position, written with atomics from the
-// campaign coordinator and the analyzer's capture workers and read by
-// the debug server's /progress endpoint. All fields are best-effort
-// telemetry: they never feed results and cost one atomic op per update.
+// progress holds the Run's live position that the journal does not
+// carry — the priced plan totals and the per-capture counters — written
+// with atomics from the campaign coordinator and the analyzer's capture
+// workers and read by Progress. All fields are best-effort telemetry:
+// they never feed results and cost one atomic op per update.
 type progress struct {
-	stage          atomic.Value // string: current stage name
-	capturesTotal  atomic.Int64 // planned captures (exhaustive) or budget cap (adaptive)
-	sweepsTotal    atomic.Int64
-	sweepsDone     atomic.Int64
-	simTotal       atomic.Uint64 // float64 bits: planned simulated seconds
-	simDone        atomic.Uint64 // float64 bits: simulated seconds rendered so far
-	budgetReserved atomic.Int64
-	budgetCap      atomic.Int64
-	done           atomic.Bool
+	capturesTotal atomic.Int64 // planned captures (exhaustive) or budget cap (adaptive)
+	sweepsTotal   atomic.Int64
+	simTotal      atomic.Uint64 // float64 bits: planned simulated seconds
+	simDone       atomic.Uint64 // float64 bits: simulated seconds rendered so far
+	done          atomic.Bool
 }
 
 // ProgressInfo is the JSON snapshot served at /progress: where the scan
@@ -48,14 +45,6 @@ type ProgressInfo struct {
 	EventsDropped    int64   `json:"events_dropped,omitempty"`
 }
 
-// SetStage records the currently running stage name for /progress.
-func (r *Run) SetStage(name string) {
-	if r == nil {
-		return
-	}
-	r.progress.stage.Store(name)
-}
-
 // SetTotals declares the run's planned scope: total captures (the budget
 // cap in adaptive mode), number of sweeps, and total simulated analyzer
 // seconds the plan would produce. Zero values mean "unknown".
@@ -66,30 +55,6 @@ func (r *Run) SetTotals(captures, sweeps int64, simSeconds float64) {
 	r.progress.capturesTotal.Store(captures)
 	r.progress.sweepsTotal.Store(sweeps)
 	r.progress.simTotal.Store(floatBits(simSeconds))
-}
-
-// SetBudget records the adaptive planner's budget cap.
-func (r *Run) SetBudget(cap int64) {
-	if r == nil {
-		return
-	}
-	r.progress.budgetCap.Store(cap)
-}
-
-// SetBudgetReserved records the meter's current reservation level.
-func (r *Run) SetBudgetReserved(reserved int64) {
-	if r == nil {
-		return
-	}
-	r.progress.budgetReserved.Store(reserved)
-}
-
-// AddSweepDone counts one completed sweep.
-func (r *Run) AddSweepDone() {
-	if r == nil {
-		return
-	}
-	r.progress.sweepsDone.Add(1)
 }
 
 // AddSimSeconds accumulates simulated analyzer time as captures render.
@@ -116,9 +81,12 @@ func (r *Run) SetDone() {
 	r.progress.done.Store(true)
 }
 
-// Progress snapshots the run's live position. Percent complete prefers
-// capture counts (exact units of work) and falls back to simulated time;
-// the ETA extrapolates the remaining simulated seconds at the observed
+// Progress snapshots the run's live position. The stage (the last
+// stage_start), the sweeps done (sweep_end events) and the adaptive
+// budget (the campaign_start cap, the last budget_reserve level) are read
+// from the journal. Percent complete prefers capture counts (exact units
+// of work) and falls back to simulated time; the ETA extrapolates the
+// remaining simulated seconds at the observed
 // simulated-seconds-per-wall-second rate.
 func (r *Run) Progress() ProgressInfo {
 	if r == nil {
@@ -129,17 +97,25 @@ func (r *Run) Progress() ProgressInfo {
 		Done:             p.done.Load(),
 		ElapsedSeconds:   time.Since(r.start).Seconds(),
 		CapturesUsed:     r.Captures.Value(),
-		CapturesReserved: p.budgetReserved.Load(),
 		CapturesTotal:    p.capturesTotal.Load(),
-		BudgetCap:        p.budgetCap.Load(),
-		SweepsDone:       p.sweepsDone.Load(),
 		SweepsTotal:      p.sweepsTotal.Load(),
 		SimulatedSeconds: floatFromBits(p.simDone.Load()),
 		SimulatedTotal:   floatFromBits(p.simTotal.Load()),
 	}
-	if s, ok := p.stage.Load().(string); ok {
-		info.Stage = s
-	}
+	r.Journal.scan(func(e *Event) {
+		switch e.Kind {
+		case EventStageStart:
+			info.Stage = e.Name
+		case EventSweepEnd:
+			info.SweepsDone++
+		case EventCampaignStart:
+			if e.Name == "adaptive" {
+				info.BudgetCap = e.Total
+			}
+		case EventBudgetReserve:
+			info.CapturesReserved = e.Reserved
+		}
+	})
 	switch {
 	case info.Done:
 		info.PercentComplete = 100
@@ -157,8 +133,6 @@ func (r *Run) Progress() ProgressInfo {
 	if !info.Done && info.SimRatePerSecond > 0 && info.SimulatedTotal > info.SimulatedSeconds {
 		info.ETASeconds = (info.SimulatedTotal - info.SimulatedSeconds) / info.SimRatePerSecond
 	}
-	if j := r.Journal; j != nil {
-		info.EventsEmitted, info.EventsDropped = j.Stats()
-	}
+	info.EventsEmitted, info.EventsDropped = r.Journal.Stats()
 	return info
 }

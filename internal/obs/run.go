@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// Run collects one campaign's observability: stage wall/CPU timings,
-// per-segment planner decisions, capture counts and render/FFT time from
-// the analyzer's workers, and (optionally) a Tracer. Finish folds it all,
-// plus the Default registry's deltas, into a Manifest.
+// Run collects one campaign's observability: its event journal, from
+// which the stage timings, the Chrome trace and /progress are read;
+// per-segment planner decisions; and capture counts and render/FFT time
+// from the analyzer's workers. Finish folds it all, plus the Default
+// registry's deltas, into a Manifest.
 //
 // All methods are nil-safe no-ops on a nil *Run, so instrumented code
 // threads a *Run unconditionally and pays only a nil check when
@@ -21,12 +22,13 @@ import (
 // concurrently in the process (true for the CLI; tests that assert on
 // them run their campaigns alone).
 type Run struct {
-	// Tracer, when non-nil, records spans alongside the timings.
-	Tracer *Tracer
-	// Journal, when non-nil, receives the run's structured event stream
-	// (see events.go): Stage emits stage_start/stage_end on track 0, and
-	// the campaign/planner/analyzer emit their own events through tracks
-	// obtained from Track.
+	// Journal receives the run's structured event stream (see
+	// events.go): Stage emits stage_start/stage_end on track 0, and the
+	// campaign/planner/analyzer emit their own events through tracks
+	// obtained from Track. NewRun attaches one; it may be replaced before
+	// the run starts. A Run built without NewRun and left with a nil
+	// Journal records no stages, no trace and no journal-derived
+	// progress.
 	Journal *Journal
 
 	// Captures counts analyzer captures rendered under this run.
@@ -56,7 +58,6 @@ type Run struct {
 	progress progress
 
 	mu         sync.Mutex
-	stages     []StageTiming
 	segments   []SegmentPlan
 	components map[string]*componentStat
 	manifest   *Manifest
@@ -85,32 +86,30 @@ type componentStat struct {
 var renderComponentSeconds = Default.Histogram(MetricRenderComponentSeconds,
 	ExpBuckets(1e-6, 4, 12))
 
-// NewRun starts a run clock and snapshots the Default registry so Finish
-// can attribute metric deltas to this run.
+// NewRun starts a run clock, attaches a fresh journal and snapshots the
+// Default registry so Finish can attribute metric deltas to this run.
 func NewRun() *Run {
-	return &Run{start: time.Now(), startCPU: processCPUSeconds(), startSnap: Default.Snapshot()}
+	return &Run{Journal: NewJournal(), start: time.Now(), startCPU: processCPUSeconds(),
+		startSnap: Default.Snapshot()}
 }
 
 var nopStageEnd = func() {}
 
 // Stage starts timing a named pipeline stage and returns the function
-// that ends it. Stages are expected to be sequential at the campaign
-// level, so their wall times sum to ≈ the run's total and their CPU
-// times are read as process-CPU deltas.
+// that ends it: a stage_start event now, and a stage_end carrying the
+// stage's wall and process-CPU seconds when it ends. Stages are expected
+// to be sequential at the campaign level, so their wall times sum to ≈
+// the run's total and their CPU times are read as process-CPU deltas.
 func (r *Run) Stage(name string) func() {
-	if r == nil {
+	ct := r.Track(0)
+	if ct == nil {
 		return nopStageEnd
 	}
-	r.SetStage(name)
-	r.Track(0).Emit(Event{Kind: EventStageStart, Name: name})
+	ct.Emit(Event{Kind: EventStageStart, Name: name})
 	t0, c0 := time.Now(), processCPUSeconds()
 	return func() {
-		st := StageTiming{Name: name, WallSeconds: time.Since(t0).Seconds(),
-			CPUSeconds: processCPUSeconds() - c0}
-		r.mu.Lock()
-		r.stages = append(r.stages, st)
-		r.mu.Unlock()
-		r.Track(0).Emit(Event{Kind: EventStageEnd, Name: name, WallSeconds: st.WallSeconds})
+		ct.Emit(Event{Kind: EventStageEnd, Name: name, WallSeconds: time.Since(t0).Seconds(),
+			CPUSeconds: processCPUSeconds() - c0})
 	}
 }
 
@@ -167,15 +166,18 @@ func (r *Run) component(name string) *componentStat {
 	return cs
 }
 
-// Stages returns a copy of the stage timings recorded so far.
+// Stages returns the stages finished so far, in order, read from the
+// journal's track-0 stage_end events.
 func (r *Run) Stages() []StageTiming {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]StageTiming, len(r.stages))
-	copy(out, r.stages)
+	var out []StageTiming
+	r.Journal.scan(func(e *Event) {
+		if e.Track == 0 && e.Kind == EventStageEnd {
+			out = append(out, StageTiming{Name: e.Name, WallSeconds: e.WallSeconds, CPUSeconds: e.CPUSeconds})
+		}
+	})
 	return out
 }
 
@@ -197,7 +199,7 @@ func (r *Run) Finish(config any, simulatedSeconds float64, detections []Detectio
 		Schema:                   ManifestSchema,
 		CreatedUnix:              time.Now().Unix(),
 		Config:                   config,
-		Stages:                   append([]StageTiming(nil), r.stages...),
+		Stages:                   r.Stages(),
 		TotalWallSeconds:         time.Since(r.start).Seconds(),
 		TotalCPUSeconds:          processCPUSeconds() - r.startCPU,
 		SimulatedAnalyzerSeconds: simulatedSeconds,

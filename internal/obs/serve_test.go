@@ -121,14 +121,24 @@ func TestServeSSEStreamsBacklogAndLive(t *testing.T) {
 	}
 }
 
+// TestProgressEndpoint: /progress reads the stage, the sweeps done and
+// the adaptive budget from the journal, and the plan totals and capture
+// counters from the run.
 func TestProgressEndpoint(t *testing.T) {
 	run := NewRun()
-	run.Journal = NewJournal()
-	run.SetStage("sweeps")
+	ct := run.Track(0)
+	ct.Emit(Event{Kind: EventCampaignStart, Name: "adaptive", Total: 100})
+	ct.Emit(Event{Kind: EventBudgetReserve, Captures: 40, Outcome: ReserveGranted, Reserved: 40, Cap: 100})
+	ct.Emit(Event{Kind: EventBudgetReserve, Captures: 80, Outcome: ReserveDenied, Reserved: 40, Cap: 100})
+	run.Stage("recon")()
+	end := run.Stage("refine")
+	defer end()
+	run.Track(1).Emit(Event{Kind: EventSweepStart, Total: 8})
+	run.Track(1).Emit(Event{Kind: EventSweepEnd, Captures: 8, Total: 8})
+	run.Track(2).Emit(Event{Kind: EventSweepStart, Total: 8})
 	run.SetTotals(100, 4, 10)
 	run.Captures.Add(25)
 	run.AddSimSeconds(2.5)
-	run.AddSweepDone()
 	ds, err := Serve("127.0.0.1:0", NewRegistry(), run)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +153,7 @@ func TestProgressEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
 		t.Fatal(err)
 	}
-	if p.Stage != "sweeps" || p.CapturesUsed != 25 || p.CapturesTotal != 100 {
+	if p.Stage != "refine" || p.CapturesUsed != 25 || p.CapturesTotal != 100 {
 		t.Errorf("progress %+v", p)
 	}
 	if p.PercentComplete != 25 {
@@ -151,6 +161,9 @@ func TestProgressEndpoint(t *testing.T) {
 	}
 	if p.SweepsDone != 1 || p.SweepsTotal != 4 {
 		t.Errorf("sweeps %d/%d", p.SweepsDone, p.SweepsTotal)
+	}
+	if p.BudgetCap != 100 || p.CapturesReserved != 40 {
+		t.Errorf("budget %d reserved of %d", p.CapturesReserved, p.BudgetCap)
 	}
 }
 

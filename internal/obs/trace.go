@@ -3,167 +3,26 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Tracer records spans — named, timed intervals with explicit
-// parent/child links — and writes them as Chrome trace_event JSON
-// (chrome://tracing, Perfetto, or speedscope all load it).
-//
-// Spans live on lanes (rendered as Chrome "threads"): sequential child
-// stages share their parent's lane, while concurrent work forks onto its
-// own lane so overlapping spans never collide visually. Lanes are pooled
-// and reused, so a campaign's trace has roughly Parallelism lanes, not
-// one per capture.
-//
-// A nil *Tracer is a valid no-op: Begin returns the zero Span, whose
-// methods all do nothing, so call sites need no guards.
-type Tracer struct {
-	start  time.Time
-	nextID atomic.Int64
+// Span is an empty placeholder that carries nothing and is ignored. It
+// exists only so callers of the shard API's RenderShard and ReduceShards,
+// which still take one, keep compiling; pass obs.Span{}.
+type Span struct{}
 
-	mu        sync.Mutex
-	events    []SpanEvent
-	freeLanes []int64
-	nextLane  int64
-}
-
-// SpanEvent is one completed span.
-type SpanEvent struct {
-	Name   string
-	ID     int64
-	Parent int64 // 0 = root
-	Lane   int64
-	Start  time.Duration // offset from the tracer's epoch
-	Dur    time.Duration
-}
-
-// NewTracer returns a tracer whose epoch is now.
-func NewTracer() *Tracer {
-	return &Tracer{start: time.Now()}
-}
-
-// Span is one in-flight interval. The zero Span is a no-op; spans are
-// values, so disabled tracing allocates nothing. The start time is kept
-// as an offset from the tracer's epoch rather than a time.Time: that
-// holds Span at 64 bytes, small enough that structs embedding one (e.g.
-// specan.Request) stay under the compiler's 128-byte limit for by-value
-// closure capture — past it, every parallel sweep would heap-allocate
-// its request even with tracing off.
-type Span struct {
-	tr     *Tracer
-	name   string
-	start  time.Duration // offset from the tracer's epoch
-	lane   int64
-	id     int64
-	parent int64
-	owns   bool // this span acquired its lane and releases it on End
-}
-
-// Active reports whether the span records anything.
-func (s Span) Active() bool { return s.tr != nil }
-
-// Begin opens a root span on its own lane.
-func (t *Tracer) Begin(name string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{tr: t, name: name, start: time.Since(t.start), lane: t.acquireLane(),
-		id: t.nextID.Add(1), owns: true}
-}
-
-// Child opens a sub-span on the same lane — for stages that run
-// sequentially within the parent.
-func (s Span) Child(name string) Span {
-	if s.tr == nil {
-		return Span{}
-	}
-	return Span{tr: s.tr, name: name, start: time.Since(s.tr.start), lane: s.lane,
-		id: s.tr.nextID.Add(1), parent: s.id}
-}
-
-// Fork opens a sub-span on a fresh lane — for work that runs
-// concurrently with its siblings (sweeps, captures).
-func (s Span) Fork(name string) Span {
-	if s.tr == nil {
-		return Span{}
-	}
-	return Span{tr: s.tr, name: name, start: time.Since(s.tr.start), lane: s.tr.acquireLane(),
-		id: s.tr.nextID.Add(1), parent: s.id, owns: true}
-}
-
-// Mark records an already-measured child interval on the span's lane,
-// for call sites that timed a region themselves.
-func (s Span) Mark(name string, start time.Time, d time.Duration) {
-	if s.tr == nil {
-		return
-	}
-	s.tr.record(SpanEvent{Name: name, ID: s.tr.nextID.Add(1), Parent: s.id,
-		Lane: s.lane, Start: start.Sub(s.tr.start), Dur: d})
-}
-
-// End records the span and releases its lane if it owned one. Ending the
-// zero Span does nothing.
-func (s Span) End() {
-	if s.tr == nil {
-		return
-	}
-	s.tr.record(SpanEvent{Name: s.name, ID: s.id, Parent: s.parent, Lane: s.lane,
-		Start: s.start, Dur: time.Since(s.tr.start) - s.start})
-	if s.owns {
-		s.tr.releaseLane(s.lane)
-	}
-}
-
-func (t *Tracer) acquireLane() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n := len(t.freeLanes); n > 0 {
-		l := t.freeLanes[n-1]
-		t.freeLanes = t.freeLanes[:n-1]
-		return l
-	}
-	t.nextLane++
-	return t.nextLane - 1
-}
-
-func (t *Tracer) releaseLane(l int64) {
-	t.mu.Lock()
-	t.freeLanes = append(t.freeLanes, l)
-	t.mu.Unlock()
-}
-
-func (t *Tracer) record(e SpanEvent) {
-	t.mu.Lock()
-	t.events = append(t.events, e)
-	t.mu.Unlock()
-}
-
-// Events returns a copy of the recorded events.
-func (t *Tracer) Events() []SpanEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanEvent, len(t.events))
-	copy(out, t.events)
-	return out
-}
-
-// chromeEvent is one trace_event entry ("X" = complete event; ts and dur
-// are microseconds).
+// chromeEvent is one trace_event entry: "X" is a complete event with a
+// duration, "i" an instant (scope "t", its thread). ts and dur are
+// microseconds since the journal's epoch.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	Pid  int            `json:"pid"`
-	Tid  int64          `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Dur  float64 `json:"dur,omitempty"`
+	S    string  `json:"s,omitempty"`
+	Pid  int     `json:"pid"`
+	Tid  int64   `json:"tid"`
+	Args *Event  `json:"args,omitempty"`
 }
 
 // chromeTrace is the JSON-object form of the trace_event format.
@@ -172,21 +31,57 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace writes the recorded spans in Chrome's trace_event
-// JSON format. Span identity and parentage ride in args ("id",
-// "parent"), which trace viewers ignore but tests assert on.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+// WriteChromeTrace writes the journal as Chrome trace_event JSON
+// (chrome://tracing, Perfetto and speedscope load it), one thread per
+// journal track: a "campaign" span from campaign_start to campaign_end
+// and one span per stage_start/stage_end pair on tid 0, one "sweep" span
+// per sweep_start/sweep_end pair on its sweep's track, and every other
+// event as an instant on its track. Each span's args are its closing
+// event, each instant's args the event itself. A start whose end was
+// never emitted (a cancelled run) draws nothing.
+func (j *Journal) WriteChromeTrace(w io.Writer) error {
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	for _, e := range t.Events() {
-		ce := chromeEvent{
-			Name: e.Name, Cat: "fase", Ph: "X",
-			Ts:  float64(e.Start.Nanoseconds()) / 1e3,
-			Dur: float64(e.Dur.Nanoseconds()) / 1e3,
-			Pid: 1, Tid: e.Lane,
-			Args: map[string]any{"id": e.ID, "parent": e.Parent},
+	open := map[spanKey]float64{}
+	for _, e := range j.CanonicalEvents() {
+		ce := chromeEvent{Name: e.Kind, Cat: "fase", Ph: "i", S: "t", Ts: e.T * 1e6, Pid: 1, Tid: e.Track, Args: &e}
+		switch e.Kind {
+		case EventCampaignStart, EventStageStart, EventSweepStart:
+			open[spanOf(e)] = e.T
+			continue
+		case EventCampaignEnd, EventStageEnd, EventSweepEnd:
+			k := spanOf(e)
+			t0, ok := open[k]
+			if !ok {
+				continue
+			}
+			delete(open, k)
+			ce.Name, ce.Ph, ce.S, ce.Ts, ce.Dur = k.name, "X", "", t0*1e6, (e.T-t0)*1e6
 		}
 		out.TraceEvents = append(out.TraceEvents, ce)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(out)
+}
+
+// spanKey names one open trace span: its track and its name.
+type spanKey struct {
+	track int64
+	name  string
+}
+
+// spanOf names the trace span a start or end event opens or closes: a
+// stage by its name, the campaign and sweeps by their kind's stem.
+func spanOf(e Event) spanKey {
+	switch e.Kind {
+	case EventCampaignStart, EventCampaignEnd:
+		return spanKey{e.Track, "campaign"}
+	case EventSweepStart, EventSweepEnd:
+		return spanKey{e.Track, "sweep"}
+	}
+	return spanKey{e.Track, e.Name}
+}
+
+// WriteChromeTraceFile writes the Chrome trace to path, replacing any
+// previous file whole (see writeFileAtomic).
+func (j *Journal) WriteChromeTraceFile(path string) error {
+	return writeFileAtomic(path, j.WriteChromeTrace)
 }

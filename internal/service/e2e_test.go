@@ -19,8 +19,9 @@ import (
 )
 
 // canonicalize puts a journal into comparable form: deterministic
-// (track, tseq) order with the wall-clock and arrival-order fields
-// zeroed. Mirrors what obs.WriteJSONL does for archived journals.
+// (track, tseq) order with the arrival-order Seq and the wall-clock
+// fields (obs.Event.WithoutWallClock) zeroed. Mirrors what
+// obs.WriteJSONL does for archived journals.
 func canonicalize(events []obs.Event) []obs.Event {
 	out := make([]obs.Event, len(events))
 	copy(out, events)
@@ -31,9 +32,8 @@ func canonicalize(events []obs.Event) []obs.Event {
 		return out[a].TSeq < out[b].TSeq
 	})
 	for i := range out {
+		out[i] = out[i].WithoutWallClock()
 		out[i].Seq = 0
-		out[i].T = 0
-		out[i].WallSeconds = 0
 	}
 	return out
 }

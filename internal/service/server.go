@@ -378,7 +378,6 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	run := obs.NewRun()
-	run.Journal = obs.NewJournal()
 	if !j.setRunning(run) {
 		s.terminate(j, StateCancelled, "cancelled before start")
 		return

@@ -41,11 +41,11 @@ func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 		{"unplanned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, NoPlan: true}},
 		{"planned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}},
 		{"unplanned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), NoPlan: true}},
-		// Observability on must not change a single bit: timings and spans
-		// observe the pipeline, never steer it.
-		{"instrumented serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Obs: tracedRun()}},
-		{"instrumented parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: tracedRun()}},
-		{"instrumented unplanned", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), NoPlan: true, Obs: tracedRun()}},
+		// Observability on must not change a single bit: timings and
+		// counters observe the pipeline, never steer it.
+		{"instrumented serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Obs: obs.NewRun()}},
+		{"instrumented parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: obs.NewRun()}},
+		{"instrumented unplanned", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), NoPlan: true, Obs: obs.NewRun()}},
 	} {
 		scene := sys.Scene(17, true)
 		s := New(tc.cfg).Sweep(req(scene))
@@ -65,14 +65,6 @@ func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 			}
 		}
 	}
-}
-
-// tracedRun builds an obs.Run with a tracer attached, the fully
-// instrumented configuration the equivalence cases exercise.
-func tracedRun() *obs.Run {
-	run := obs.NewRun()
-	run.Tracer = obs.NewTracer()
-	return run
 }
 
 // TestSweepPlanCacheReuse checks the analyzer caches plans per segment:

@@ -100,10 +100,9 @@ type Config struct {
 	// capture path meter-free.
 	Meter *Meter
 	// Obs, when non-nil, attaches run-level observability: per-capture
-	// render/FFT timing, plan-cache statistics, and — when Obs.Tracer is
-	// set — sweep/capture spans. A nil Obs (the default) keeps the hot
-	// path allocation-free, and instrumentation never changes rendered
-	// output (enforced by the equivalence tests).
+	// render/FFT timing and plan-cache statistics. A nil Obs (the
+	// default) keeps the hot path allocation-free, and instrumentation
+	// never changes rendered output (enforced by the equivalence tests).
 	Obs *obs.Run
 }
 
@@ -403,10 +402,6 @@ type Request struct {
 	// never-cancelled context leaves the sweep byte-identical to one
 	// without a context.
 	Ctx context.Context
-	// Span, when active, is the trace span the sweep nests under (e.g.
-	// a campaign span). The zero value is fine: with Config.Obs tracing
-	// enabled the sweep then opens a root span of its own.
-	Span obs.Span
 	// Activity is the program-activity envelope during the sweep (nil =
 	// idle machine).
 	Activity *activity.Trace
@@ -443,9 +438,9 @@ func (a *Analyzer) segGeom(p plan, f1 float64, s int) (fStart, center float64, b
 // periodogram into out (whose PmW the caller supplies). All scratch comes
 // from pools, so steady state allocates nothing. With Config.Obs attached
 // the two halves — scene render and window+FFT+calibrate — are timed
-// separately (and traced under parent when a tracer is set); timing never
-// touches the sample math, so output is identical either way.
-func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.Spectrum, parent obs.Span) {
+// separately; timing never touches the sample math, so output is
+// identical either way.
+func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.Spectrum) {
 	// Cancelled sweeps stop paying for captures immediately: the spectrum
 	// slot stays zeroed, nothing is charged to the meter or the capture
 	// counters, and the (garbage) sweep result is discarded by the caller.
@@ -463,11 +458,7 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 	band := emsim.Band{Center: center, SampleRate: p.fs}
 	buf := a.arena.Complex(p.nfft)
 	var t0, t1, t2 time.Time
-	var cs obs.Span
 	if run != nil {
-		if parent.Active() {
-			cs = parent.Fork("capture")
-		}
 		t0 = time.Now()
 	}
 	capSeed := req.Seed + int64(capIdx)*7919
@@ -511,9 +502,6 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 		run.FFTSeconds.Add(t2.Sub(t1).Seconds())
 		renderSeconds.Observe(t1.Sub(t0).Seconds())
 		fftSeconds.Observe(t2.Sub(t1).Seconds())
-		cs.Mark("render", t0, t1.Sub(t0))
-		cs.Mark("fft", t1, t2.Sub(t1))
-		cs.End()
 	}
 }
 
@@ -529,27 +517,6 @@ func (a *Analyzer) Sweep(req Request) *spectral.Spectrum {
 		panic("specan: sweep without a scene")
 	}
 	sweepsTotal.Inc()
-	// The span setup stays out of sweep so that, uninstrumented, req and
-	// the zero Span are captured by the worker closures by value: a defer
-	// or reassignment in the closure-owning frame would force both to the
-	// heap and cost two allocations per sweep even with tracing off.
-	if run := a.cfg.Obs; run != nil {
-		var sw obs.Span
-		if req.Span.Active() {
-			sw = req.Span.Fork("sweep")
-		} else {
-			sw = run.Tracer.Begin("sweep")
-		}
-		sp := a.sweep(req, sw)
-		sw.End()
-		return sp
-	}
-	return a.sweep(req, obs.Span{})
-}
-
-// sweep is the body of Sweep; sw is the already-open sweep span (zero
-// when tracing is off) and is ended by the caller.
-func (a *Analyzer) sweep(req Request, sw obs.Span) *spectral.Spectrum {
 	p := a.planSweep(req.F1, req.F2)
 	nCaps := p.segs * a.cfg.Averages
 	req.Events.Emit(obs.Event{Kind: obs.EventSweepStart,
@@ -561,7 +528,7 @@ func (a *Analyzer) sweep(req Request, sw obs.Span) *spectral.Spectrum {
 	if a.cfg.Parallelism == 1 {
 		for i := 0; i < nCaps; i++ {
 			a.sem <- struct{}{}
-			a.renderCapture(req, p, i, &specs[i], sw)
+			a.renderCapture(req, p, i, &specs[i])
 			<-a.sem
 		}
 	} else {
@@ -572,7 +539,7 @@ func (a *Analyzer) sweep(req Request, sw obs.Span) *spectral.Spectrum {
 				defer wg.Done()
 				a.sem <- struct{}{}
 				defer func() { <-a.sem }()
-				a.renderCapture(req, p, i, &specs[i], sw)
+				a.renderCapture(req, p, i, &specs[i])
 			}(i)
 		}
 		wg.Wait()
@@ -603,6 +570,5 @@ func (a *Analyzer) sweep(req Request, sw obs.Span) *spectral.Spectrum {
 	}
 	req.Events.Emit(obs.Event{Kind: obs.EventSweepEnd,
 		Captures: int64(nCaps), Total: int64(nCaps)})
-	a.cfg.Obs.AddSweepDone()
 	return spectral.Stitch(parts)
 }
