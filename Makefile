@@ -50,10 +50,13 @@ race:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
-# equivalence runs the bit-identity property tests under the race
-# detector: planned vs unplanned, cached vs live and segmented vs
-# per-sample rendering, and the campaign executors (goroutines, serial,
-# the service's worker fleet). They exercise the parallel sweep path too.
+# equivalence runs the bit-identity property tests (every test with
+# "Equivalence" in its name) under the race detector: planned vs
+# unplanned, cached vs live (conditional-static keying and metered
+# analyzers included) and segmented vs per-sample rendering, against
+# reference renderers built in the tests as wrapper components, and the
+# campaign executors (goroutines, serial, the service's worker fleet).
+# They exercise the parallel sweep path too.
 equivalence:
 	$(GO) test -run Equivalence -race ./...
 

@@ -28,6 +28,10 @@ func runServe(args []string) int {
 	maxCaptures := fs.Int64("max-captures", 0, "per-job capture admission limit (0 = default 4096)")
 	_ = fs.Parse(args)
 
+	// The handler goes in before the server can accept a request, so a
+	// signal that arrives as soon as the listener is up still drains.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s, err := service.New(service.Config{
 		Workers: *workers, MaxActive: *maxActive,
 		QueueCapacity: *queueCap, TenantQuota: *tenantQuota,
@@ -45,8 +49,6 @@ func runServe(args []string) int {
 	fmt.Printf("serve: listening on http://%s\n", bound)
 	fmt.Printf("serve: POST http://%s/v1/scans to submit; GET /v1/stats for queue state\n", bound)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("serve: shutting down")
 	if err := s.Close(); err != nil {

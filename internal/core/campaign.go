@@ -95,12 +95,6 @@ type Campaign struct {
 	// bit-equality; the nil default leaves the exhaustive path — and its
 	// bit-identity contract — untouched.
 	Adaptive *AdaptivePlan
-
-	// noReuse disables the static render cache (specan.Config.ReuseStatic)
-	// so every capture renders live: the reference the package's cache
-	// equivalence tests compare against. Cached and uncached rendering are
-	// bit-identical.
-	noReuse bool
 }
 
 // MinScoreZero is the sentinel for Campaign.MinScore that requests a

@@ -33,9 +33,13 @@ func normalizedJournal(t *testing.T, j *obs.Journal) []byte {
 
 // TestEventJournalEquivalence pins the journal's determinism claim: the
 // canonical event stream (timestamps zeroed) must be byte-identical
-// across serial vs parallel rendering and cached vs uncached sweeps,
-// for both the exhaustive and the adaptive planner. Runs under -race via
-// `make equivalence`, which also hammers the concurrent emission paths.
+// across serial vs parallel rendering, for both the exhaustive and the
+// adaptive planner, and — for the exhaustive planner — across cached vs
+// live sweeps (runLive). Runs under -race via `make equivalence`, which
+// also hammers the concurrent emission paths. The adaptive planner's
+// cached-vs-live contract is a per-analyzer one, covered by specan's
+// TestSweepEquivalenceMeteredCache: identical spectra and identical
+// Meter charge.
 func TestEventJournalEquivalence(t *testing.T) {
 	sys := machine.IntelCoreI7Desktop()
 	base := Campaign{
@@ -51,27 +55,33 @@ func TestEventJournalEquivalence(t *testing.T) {
 	for _, plan := range []struct {
 		name string
 		c    Campaign
-	}{{"exhaustive", base}, {"adaptive", adaptive}} {
+		live bool // also run the live (uncached) variants
+	}{{"exhaustive", base, true}, {"adaptive", adaptive, false}} {
 		t.Run(plan.name, func(t *testing.T) {
 			variants := []struct {
 				name        string
 				parallelism int
-				noReuse     bool
+				live        bool
 			}{
 				{"serial-cached", 1, false},
-				{"serial-uncached", 1, true},
+				{"serial-live", 1, true},
 				{"parallel-cached", 0, false},
-				{"parallel-uncached", 0, true},
+				{"parallel-live", 0, true},
 			}
 			var want []byte
 			var wantName string
 			for _, v := range variants {
+				if v.live && !plan.live {
+					continue
+				}
 				c := plan.c
 				c.Parallelism = v.parallelism
-				c.noReuse = v.noReuse
 				run := obs.NewRun()
 				run.Journal = obs.NewJournal()
-				if _, err := (&Runner{Scene: sys.Scene(21, true), Obs: run}).RunE(c); err != nil {
+				r := &Runner{Scene: sys.Scene(21, true), Obs: run}
+				if v.live {
+					runLive(t, r, c)
+				} else if _, err := r.RunE(c); err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
 				got := normalizedJournal(t, run.Journal)

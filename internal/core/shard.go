@@ -57,10 +57,12 @@ func (p *ShardPlan) AnalyzerConfig(run *obs.Run) specan.Config {
 }
 
 // analyzerConfig is the specan configuration of one campaign phase at
-// the given resolution and average count.
+// the given resolution and average count. The static render cache is
+// always on: a campaign's sweeps share their seed, so it replays the
+// layers they have in common.
 func (c Campaign) analyzerConfig(fres float64, averages int, run *obs.Run) specan.Config {
 	return specan.Config{Fres: fres, Averages: averages, Parallelism: c.Parallelism,
-		MaxFFT: c.MaxFFT, ReuseStatic: !c.noReuse, Faults: c.Faults, Obs: run}
+		MaxFFT: c.MaxFFT, ReuseStatic: true, Faults: c.Faults, Obs: run}
 }
 
 // Begin prices the campaign against an analyzer (any analyzer built from

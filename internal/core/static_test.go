@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -8,11 +9,40 @@ import (
 	"fase/internal/activity"
 	"fase/internal/machine"
 	"fase/internal/obs"
+	"fase/internal/specan"
 )
 
+// runLive runs exhaustive campaign c the way Execute does — the shard
+// API on the Goroutines executor — but on an analyzer with the static
+// render cache off, so every capture renders live: the reference the
+// cache equivalence tests compare campaigns against.
+func runLive(t *testing.T, r *Runner, c Campaign) *Result {
+	t.Helper()
+	p, err := PlanShards(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := r.Obs
+	cfg := p.AnalyzerConfig(run)
+	cfg.ReuseStatic = false
+	an := specan.New(cfg)
+	p.Begin(an, run)
+	ms := make([]Measurement, len(p.FAlts))
+	endSweeps := run.Stage("sweeps")
+	Goroutines(context.Background(), an, len(p.FAlts), func(an *specan.Analyzer, i int) {
+		ms[i] = r.RenderShard(nil, an, p, i, run, obs.Span{})
+	})
+	endSweeps()
+	res, err := r.ReduceShards(p, ms, run, obs.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestCampaignEquivalenceStaticCache runs the same campaign with the
-// cross-sweep static render cache on (the default) and off, and
-// requires bit-identical measurements and detections. Because every sweep
+// cross-sweep static render cache on (the default) and off (runLive),
+// and requires bit-identical measurements and detections. Because every sweep
 // of a campaign shares the campaign seed, the cached run builds each
 // capture's static layer once and replays it NumAlts times — the counter
 // check proves that actually happened, so the equivalence isn't two
@@ -33,11 +63,10 @@ func TestCampaignEquivalenceStaticCache(t *testing.T) {
 	if hits.Value() == h0 {
 		t.Fatal("default campaign replayed no static layers — test is vacuous")
 	}
-	noReuse := c
-	noReuse.noReuse = true
-	bare, err := (&Runner{Scene: sys.Scene(21, true)}).RunE(noReuse)
-	if err != nil {
-		t.Fatal(err)
+	h1 := hits.Value()
+	bare := runLive(t, &Runner{Scene: sys.Scene(21, true)}, c)
+	if hits.Value() != h1 {
+		t.Fatal("the live reference replayed static layers")
 	}
 	if len(cached.Measurements) != len(bare.Measurements) {
 		t.Fatalf("measurement count %d cached vs %d uncached", len(cached.Measurements), len(bare.Measurements))

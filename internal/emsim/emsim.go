@@ -67,12 +67,6 @@ type Context struct {
 	// was rendered under a RenderPlan (see Prepper), nil otherwise.
 	// Renderers must produce bit-identical output with or without it.
 	Prep any
-	// NoSegment asks load-following renderers to walk the activity trace
-	// sample by sample instead of iterating its constant-load runs. Both
-	// paths are bit-identical by contract (enforced by the equivalence
-	// tests); this is a debugging escape hatch, mirrored by
-	// specan.Config.NoSegment.
-	NoSegment bool
 }
 
 // Dt returns the sample period.
@@ -174,10 +168,6 @@ type Capture struct {
 	// rendering by construction (see StaticRenderer). RenderInto verifies
 	// the set's identity and key against the capture.
 	Static *StaticSet
-	// NoSegment is forwarded to Context.NoSegment: load-following
-	// renderers fall back to per-sample trace walks (bit-identical; a
-	// debugging escape hatch).
-	NoSegment bool
 	// Obs, when non-nil, attributes this capture's live component renders
 	// by wall time and count (the per-component table of the run
 	// manifest, plus the fase_render_component_seconds histogram), and
@@ -223,7 +213,6 @@ func (sc *renderScratch) begin(s *Scene, c Capture) {
 		Activity:        c.Activity,
 		NearField:       c.NearField,
 		NearFieldGainDB: c.NearFieldGainDB,
-		NoSegment:       c.NoSegment,
 	}
 	n := len(s.Components)
 	if cap(sc.seeds) < n {

@@ -45,7 +45,7 @@ func noWanderScene(r *rand.Rand) *emsim.Scene {
 // TestSegmentedRenderEquivalence is the run-length segmentation's core
 // property test: the default render (change-point segmented regulators
 // and clocks, blocked refresh impulse train) must be bit-identical to the
-// per-sample escape hatch (Capture.NoSegment) — across randomized scenes,
+// per-sample references (perSampleScene) — across randomized scenes,
 // bands, seeds, and activity traces (idle, constant, and alternating at a
 // rate that splits every capture into thousands of runs).
 func TestSegmentedRenderEquivalence(t *testing.T) {
@@ -103,15 +103,13 @@ func TestSegmentedRenderEquivalence(t *testing.T) {
 	}
 }
 
-// segmentedMatchesPerSample renders capt through the default segmented
-// paths and through the per-sample reference (NoSegment) and requires
-// the two to agree bit for bit.
+// segmentedMatchesPerSample renders capt through the segmented paths and
+// through the per-sample references (perSampleScene) and requires the two
+// to agree bit for bit.
 func segmentedMatchesPerSample(t *testing.T, scene *emsim.Scene, capt emsim.Capture, trial int) {
 	t.Helper()
 	want := make([]complex128, capt.N)
-	ref := capt
-	ref.NoSegment = true
-	scene.RenderInto(want, ref)
+	perSampleScene(scene).RenderInto(want, capt)
 	got := make([]complex128, capt.N)
 	scene.RenderInto(got, capt)
 	bitsEqual(t, "segmented render", trial, got, want)

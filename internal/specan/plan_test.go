@@ -14,6 +14,31 @@ import (
 	"fase/internal/obs"
 )
 
+// unplanned hides a component's planning capabilities (Extenter and
+// Prepper) and forwards only Render and StaticDomain. Scene.Plan treats
+// such a component as wideband with no prepared state, so a scene of
+// wrapped components renders every component inline on every capture:
+// the unplanned reference. StaticDomain stays visible because the static
+// layer is summed first, and hiding it would reorder the accumulation.
+type unplanned struct{ emsim.Component }
+
+// StaticDomain implements emsim.StaticRenderer by forwarding.
+func (u unplanned) StaticDomain(band emsim.Band, n int) (activity.Domain, bool) {
+	if sr, ok := u.Component.(emsim.StaticRenderer); ok {
+		return sr.StaticDomain(band, n)
+	}
+	return activity.DomainNone, false
+}
+
+// unplannedScene wraps every component of s in unplanned, in order.
+func unplannedScene(s *emsim.Scene) *emsim.Scene {
+	out := &emsim.Scene{}
+	for _, c := range s.Components {
+		out.Add(unplanned{c})
+	}
+	return out
+}
+
 // TestSweepEquivalencePlannedUnplanned is the end-to-end counterpart of
 // the machine-level render equivalence test: one Request swept with and
 // without render planning, serial and parallel, must produce the same
@@ -34,20 +59,24 @@ func TestSweepEquivalencePlannedUnplanned(t *testing.T) {
 	}
 	var ref *spectral.Spectrum
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		noPlan bool
 	}{
-		{"planned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}},
-		{"unplanned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, NoPlan: true}},
-		{"planned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}},
-		{"unplanned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), NoPlan: true}},
+		{"planned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}, false},
+		{"unplanned serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1}, true},
+		{"planned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}, false},
+		{"unplanned parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0)}, true},
 		// Observability on must not change a single bit: timings and
 		// counters observe the pipeline, never steer it.
-		{"instrumented serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Obs: obs.NewRun()}},
-		{"instrumented parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: obs.NewRun()}},
-		{"instrumented unplanned", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), NoPlan: true, Obs: obs.NewRun()}},
+		{"instrumented serial", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: 1, Obs: obs.NewRun()}, false},
+		{"instrumented parallel", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: obs.NewRun()}, false},
+		{"instrumented unplanned", Config{Fres: 100, MaxFFT: 1 << 14, Parallelism: runtime.GOMAXPROCS(0), Obs: obs.NewRun()}, true},
 	} {
 		scene := sys.Scene(17, true)
+		if tc.noPlan {
+			scene = unplannedScene(scene)
+		}
 		s := New(tc.cfg).Sweep(req(scene))
 		if ref == nil {
 			ref = s

@@ -64,12 +64,6 @@ type Config struct {
 	// their sweep position and reduced in a fixed order, so parallelism
 	// changes only wall-clock time, never output.
 	Parallelism int
-	// NoPlan disables per-segment render planning (see emsim.RenderPlan):
-	// every capture then walks every scene component with no precomputed
-	// state. Planned and unplanned rendering are bit-identical by design —
-	// this is a debugging escape hatch for isolating the planner, not a
-	// result-changing switch.
-	NoPlan bool
 	// ReuseStatic enables the campaign-scoped static render cache: the
 	// activity-independent layer of each capture identity (segment band,
 	// length, seed, start time, probe placement — see emsim.StaticSet) is
@@ -80,12 +74,6 @@ type Config struct {
 	// default (off) renders every capture live, the reference the
 	// equivalence tests compare the cache against.
 	ReuseStatic bool
-	// NoSegment disables run-length segmentation in load-following
-	// renderers: captures then walk the activity trace sample by sample
-	// (see emsim.Context.NoSegment). Segmented and per-sample rendering
-	// are bit-identical by contract — this is the reference the
-	// equivalence tests compare segmentation against.
-	NoSegment bool
 	// Faults, when non-nil, deterministically degrades every rendered
 	// capture before its FFT (see emsim.FaultPlan): dropped/truncated
 	// traces, ADC clipping, burst interferers, added noise. Nil — the
@@ -231,9 +219,6 @@ type planEntry struct {
 // planFor returns the cached render plan for a segment, computing it on
 // first use.
 func (a *Analyzer) planFor(scene *emsim.Scene, band emsim.Band, n int) *emsim.RenderPlan {
-	if a.cfg.NoPlan {
-		return nil
-	}
 	key := planKey{scene: scene, center: band.Center, fs: band.SampleRate, n: n}
 	v, ok := a.plans.Load(key)
 	if !ok {
@@ -478,7 +463,6 @@ func (a *Analyzer) renderCapture(req Request, p plan, capIdx int, out *spectral.
 		NearFieldGainDB: req.NearFieldGainDB,
 		Plan:            rp,
 		Static:          static,
-		NoSegment:       a.cfg.NoSegment,
 		Obs:             run,
 	})
 	if run != nil {
